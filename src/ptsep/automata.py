@@ -274,6 +274,18 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
     return Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
 
 
+def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
+    """Both automata over the union of their alphabets. An operand that
+    already has the union is returned as it is, so it keeps its cached
+    transition table."""
+    union = a.alphabet | b.alphabet
+    if a.alphabet != union:
+        a = lift_alphabet(a, union)
+    if b.alphabet != union:
+        b = lift_alphabet(b, union)
+    return a, b
+
+
 def language_empty(a: Nfa) -> bool:
     """True when no word is accepted."""
     return not trim(a).states
@@ -315,25 +327,26 @@ def minimize(d: Dfa) -> Dfa:
     member. An empty language collapses to a single non-accepting sink state.
     """
     letters = sorted(d.alphabet)
+    delta = d._delta
     start = d.start
+    # each reachable state's targets, one per letter in sorted letter order
+    rows: dict[str, tuple[str, ...]] = {}
     reachable: list[str] = [start]
     seen = {start}
     for q in reachable:
-        for sym in letters:
-            t = d.step(q, sym)
+        row = rows[q] = tuple(delta[(q, sym)] for sym in letters)
+        for t in row:
             if t not in seen:
                 seen.add(t)
                 reachable.append(t)
 
+    ordered = sorted(seen)
     block: dict[str, int] = {q: int(q in d.final) for q in seen}
     while True:
-        signature = {
-            q: (block[q], tuple(block[d.step(q, sym)] for sym in letters)) for q in seen
-        }
         ids: dict[tuple, int] = {}
         refined: dict[str, int] = {}
-        for q in sorted(seen):
-            sig = signature[q]
+        for q in ordered:
+            sig = (block[q], tuple([block[t] for t in rows[q]]))
             if sig not in ids:
                 ids[sig] = len(ids)
             refined[q] = ids[sig]
@@ -342,11 +355,13 @@ def minimize(d: Dfa) -> Dfa:
         block = refined
 
     representative: dict[int, str] = {}
-    for q in sorted(seen):
+    for q in ordered:
         representative.setdefault(block[q], q)
     rename = {q: representative[block[q]] for q in seen}
     states = set(rename.values())
-    triples = {(rename[q], sym, rename[d.step(q, sym)]) for q in seen for sym in letters}
+    triples = {
+        (rename[q], sym, rename[t]) for q in seen for sym, t in zip(letters, rows[q])
+    }
     final = {rename[q] for q in seen if q in d.final}
     return Dfa.build(states, d.alphabet, triples, {rename[start]}, final)
 

@@ -239,7 +239,9 @@ def cmd_separability(args, argv) -> int:
     a = _load(args.first)
     b = _load(args.second)
     rep.mark("parse")
-    verdict = decide_separability(a, b, want_separator=args.separator, kmax=args.kmax)
+    verdict = decide_separability(
+        a, b, want_separator=args.separator, kmax=args.kmax, max_nodes=args.max_nodes
+    )
     rep.mark("decide")
     rep.verdict = {
         "separable": verdict.separable,
@@ -263,7 +265,7 @@ def cmd_separability(args, argv) -> int:
             ),
         }
         try:
-            witness_ok = verify_separator(verdict.separator, a, b)
+            witness_ok = verify_separator(verdict.separator, a, b, args.max_nodes)
         except Inconclusive:
             witness_ok = None
     rep.mark("witness")
@@ -271,7 +273,9 @@ def cmd_separability(args, argv) -> int:
     if args.no_oracle:
         rep.oracle_check = {"ran": False, "status": "skipped", "witness_verified": witness_ok}
     else:
-        oracle = dual_deepening(a, b, kmax=args.kmax, hmax=args.hmax)
+        oracle = dual_deepening(
+            a, b, kmax=args.kmax, hmax=args.hmax, max_nodes=args.max_nodes
+        )
         if oracle is None:
             status = "inconclusive"
         elif oracle.separable == verdict.separable:
@@ -542,22 +546,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except mcvp_mod.CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except AutomatonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (ParseError, mcvp_mod.CircuitError, AutomatonError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Nfa, minimize, subset_construction
+from .automata import Dfa, minimize
 
 
 class CircuitError(ValueError):
@@ -108,8 +108,8 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitError(str(exc)) from None
 
 
-def evaluate(c: Circuit) -> bool:
-    """Value of the output gate."""
+def _gate_values(c: Circuit) -> list[bool]:
+    """The value of every gate, in gate order."""
     vals: list[bool] = []
     for g in c.gates:
         if g.kind == "const":
@@ -118,7 +118,12 @@ def evaluate(c: Circuit) -> bool:
             vals.append(vals[g.left - 1] and vals[g.right - 1])
         else:
             vals.append(vals[g.left - 1] or vals[g.right - 1])
-    return vals[-1]
+    return vals
+
+
+def evaluate(c: Circuit) -> bool:
+    """Value of the output gate."""
+    return _gate_values(c)[-1]
 
 
 def circuit_alphabet(c: Circuit) -> frozenset[str]:
@@ -239,7 +244,7 @@ def build_padded_certificate_dfa(c: Circuit) -> Dfa:
         table[("s", "f1")] = "F"
     states = set(base.states) - {"sink"}
     padded = _complete(states, alphabet, table, "s", {"T", "F"})
-    if len(minimize(subset_construction(padded)).states) != len(padded.states):
+    if len(minimize(padded).states) != len(padded.states):
         raise MinimalityViolation("padded certificate automaton is not minimal")
     return padded
 
@@ -248,14 +253,7 @@ def certificate_cycle_alphabet(c: Circuit) -> frozenset[str]:
     """The pump-anchor letter set behind a true circuit: empty when the
     output is false, otherwise x, y, and the certificate letters a_i / b_i of
     true gates that a certificate for the output can actually traverse."""
-    vals: list[bool] = []
-    for g in c.gates:
-        if g.kind == "const":
-            vals.append(bool(g.value))
-        elif g.kind == "and":
-            vals.append(vals[g.left - 1] and vals[g.right - 1])
-        else:
-            vals.append(vals[g.left - 1] or vals[g.right - 1])
+    vals = _gate_values(c)
     if not vals[-1]:
         return frozenset()
 

@@ -19,7 +19,7 @@ from .automata import (
     Nfa,
     Word,
     language_empty,
-    lift_alphabet,
+    lift_pair,
     membership,
     minimize,
     product_intersection,
@@ -166,9 +166,7 @@ def verify_tower(t: Tower, a: Nfa, b: Nfa) -> bool:
     """Check the subsequence chain and the alternating memberships."""
     if t.start_side not in ("A", "B") or not t.words:
         return False
-    union = a.alphabet | b.alphabet
-    a = lift_alphabet(a, union)
-    b = lift_alphabet(b, union)
+    a, b = lift_pair(a, b)
     for i, w in enumerate(t.words):
         on_a = (t.start_side == "A") == (i % 2 == 0)
         if not membership(a if on_a else b, w):
@@ -191,11 +189,11 @@ def bounded_tower_exists(
     """
     if h < 1:
         raise ValueError("tower height must be at least 1")
-    union = a.alphabet | b.alphabet
-    letters = sorted(union)
+    a, b = lift_pair(a, b)
+    letters = sorted(a.alphabet)
     compiled = {
-        "A": _compiled(minimize(subset_construction(lift_alphabet(a, union))), letters),
-        "B": _compiled(minimize(subset_construction(lift_alphabet(b, union))), letters),
+        "A": _compiled(minimize(subset_construction(a)), letters),
+        "B": _compiled(minimize(subset_construction(b)), letters),
     }
 
     def machine(side: str, level: int):
@@ -298,12 +296,9 @@ def dual_deepening(
     A tower that does exist is never conclusive on its own, so everything
     else is inconclusive (None). Budget overruns skip the affected probe.
     """
-    union = a.alphabet | b.alphabet
     # a common word gives towers of every height and defeats every separator,
     # so no probe below can conclude; skip straight to inconclusive
-    if not language_empty(
-        product_intersection(lift_alphabet(a, union), lift_alphabet(b, union))
-    ):
+    if not language_empty(product_intersection(*lift_pair(a, b))):
         return None
     for level in range(1, max(kmax, hmax) + 1):
         if level <= kmax:

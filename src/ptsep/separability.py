@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import deque
-from typing import Iterator
 
 from .automata import (
     AlphabetMismatchError,
@@ -24,14 +23,20 @@ from .automata import (
     closed_run_covering_word,
     cycle_word_covering,
     letters_of,
-    lift_alphabet,
+    lift_pair,
     membership,
     restricted_reach,
     scc_decomposition,
     shortest_run,
     trim,
 )
-from .oracles import Inconclusive, KptSeparator, Tower, separable_by_kpt
+from .oracles import (
+    DEFAULT_MAX_NODES,
+    Inconclusive,
+    KptSeparator,
+    Tower,
+    separable_by_kpt,
+)
 
 DEFAULT_SEPARATOR_KMAX = 6
 
@@ -110,27 +115,14 @@ class AnchorRelation:
 
 @dataclass(frozen=True)
 class BlockProduct:
-    """The synchronized product of two trimmed automata over a shared
-    alphabet, plus the block-edge relations derived from pump anchors."""
+    """Two trimmed automata over a shared alphabet plus the block-edge
+    relations derived from pump anchors. Letter edges of the synchronized
+    product are not stored: the search joins both sides' out-edges on
+    shared letters as it reaches each pair."""
 
     a: Nfa
     b: Nfa
-    nodes: frozenset[tuple[str, str]]
-    letter_edges: frozenset[tuple[tuple[str, str], str, tuple[str, str]]]
     anchors: tuple[AnchorRelation, ...]
-
-    def block_edges(
-        self,
-    ) -> Iterator[tuple[tuple[str, str], AnchorRelation, tuple[str, str]]]:
-        """Materialize block edges (source pair, relation, target pair);
-        intended for small instances, the decision itself never expands this
-        product."""
-        for rel in self.anchors:
-            for p in sorted(rel.enter_a):
-                for q in sorted(rel.enter_b):
-                    for p2 in sorted(rel.exit_a):
-                        for q2 in sorted(rel.exit_b):
-                            yield ((p, q), rel, (p2, q2))
 
 
 def _scc_letter_map(a: Nfa, gamma: frozenset[str], cache: dict) -> dict[str, frozenset[str]]:
@@ -182,32 +174,26 @@ def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozens
     return _common_gamma(a, b, r_a, r_b, {}, {})
 
 
-def _lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
-    union = a.alphabet | b.alphabet
-    return lift_alphabet(a, union), lift_alphabet(b, union)
-
-
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
     """Trim both automata (lifting them to the union alphabet first) and
-    assemble nodes, synchronized letter edges, and anchor relations."""
-    a, b = _lift_pair(a, b)
+    derive the anchor relations, in sorted (r_a, r_b) order."""
+    a, b = lift_pair(a, b)
     a, b = trim(a), trim(b)
-    letters = sorted(a.alphabet)
-    nodes = frozenset((p, q) for p in a.states for q in b.states)
-    letter_edges: set[tuple[tuple[str, str], str, tuple[str, str]]] = set()
-    for p, q in nodes:
-        for sym in letters:
-            for pn in a.successors(p, sym):
-                for qn in b.successors(q, sym):
-                    letter_edges.add(((p, q), sym, (pn, qn)))
 
     cache_a: dict = {}
     cache_b: dict = {}
+    # _common_gamma starts from the full alphabet, so a state outside every
+    # cycle of its automaton gets an empty gamma on the first step
+    full = frozenset(a.alphabet)
+    cyclic_a = _scc_letter_map(a, full, cache_a)
+    cyclic_b = _scc_letter_map(b, full, cache_b)
+    roots_a = [r for r in sorted(a.states) if cyclic_a[r]]
+    roots_b = [r for r in sorted(b.states) if cyclic_b[r]]
     reach_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
     reach_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}
     anchors: list[AnchorRelation] = []
-    for r_a in sorted(a.states):
-        for r_b in sorted(b.states):
+    for r_a in roots_a:
+        for r_b in roots_b:
             gamma = _common_gamma(a, b, r_a, r_b, cache_a, cache_b)
             if not gamma:
                 continue
@@ -226,24 +212,28 @@ def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
                     exit_b=reach_b[gamma][r_b],
                 )
             )
-    return BlockProduct(
-        a=a,
-        b=b,
-        nodes=nodes,
-        letter_edges=frozenset(letter_edges),
-        anchors=tuple(anchors),
-    )
+    return BlockProduct(a=a, b=b, anchors=tuple(anchors))
+
+
+def _out_edges(a: Nfa) -> dict[str, dict[str, list[str]]]:
+    """Per state, its successors by letter, each list sorted."""
+    table: dict[str, dict[str, list[str]]] = {q: {} for q in a.states}
+    for src, sym, dst in a.transitions:
+        table[src].setdefault(sym, []).append(dst)
+    for by_sym in table.values():
+        for dsts in by_sym.values():
+            dsts.sort()
+    return table
 
 
 def _search_block_product(bp: BlockProduct):
     """BFS from the initial pairs over letter and block edges; each anchor
-    fires at most once since its targets do not depend on the source. Returns
-    (goal_node, parents) or None; deterministic via sorted exploration."""
-    letter_succ: dict[tuple[str, str], list[tuple[str, tuple[str, str]]]] = {}
-    for src, sym, dst in bp.letter_edges:
-        letter_succ.setdefault(src, []).append((sym, dst))
-    for lst in letter_succ.values():
-        lst.sort()
+    fires at most once since its targets do not depend on the source. Letter
+    children of (p, q) come from joining the out-edges of p and q on their
+    shared letters, in (letter, child pair) order. Returns (goal_node,
+    parents) or None; deterministic via sorted exploration."""
+    out_a = _out_edges(bp.a)
+    out_b = _out_edges(bp.b)
 
     def accepting(node: tuple[str, str]) -> bool:
         return node[0] in bp.a.final and node[1] in bp.b.final
@@ -262,13 +252,18 @@ def _search_block_product(bp: BlockProduct):
     while queue:
         node = queue.popleft()
         p, q = node
-        for sym, child in letter_succ.get(node, ()):
-            if child in parents:
-                continue
-            parents[child] = ("letter", sym, node)
-            if accepting(child):
-                return child, parents
-            queue.append(child)
+        edges_a = out_a[p]
+        edges_b = out_b[q]
+        for sym in sorted(edges_a.keys() & edges_b.keys()):
+            for p2 in edges_a[sym]:
+                for q2 in edges_b[sym]:
+                    child = (p2, q2)
+                    if child in parents:
+                        continue
+                    parents[child] = ("letter", sym, node)
+                    if accepting(child):
+                        return child, parents
+                    queue.append(child)
         for idx, rel in enumerate(bp.anchors):
             if idx in fired:
                 continue
@@ -334,6 +329,7 @@ def decide_separability(
     b: Nfa,
     want_separator: bool = False,
     kmax: int = DEFAULT_SEPARATOR_KMAX,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> SepVerdict:
     """Decide whether some piecewise testable language contains L(a) and is
     disjoint from L(b).
@@ -341,8 +337,9 @@ def decide_separability(
     Automata over different alphabets are first lifted to the shared union
     (separability is a property of the languages). Not separable is reported
     with a pattern witness; with ``want_separator`` a profile-based separator
-    is additionally searched for k = 1..kmax on separable instances and
-    ``separator_omitted`` records an unsuccessful or inconclusive search.
+    is additionally searched for k = 1..kmax on separable instances, each
+    profile search bounded by ``max_nodes``, and ``separator_omitted``
+    records an unsuccessful or inconclusive search.
     """
     bp = build_block_product(a, b)
     found = _search_block_product(bp)
@@ -354,7 +351,7 @@ def decide_separability(
     if want_separator:
         try:
             for k in range(1, kmax + 1):
-                separator = separable_by_kpt(a, b, k)
+                separator = separable_by_kpt(a, b, k, max_nodes)
                 if separator is not None:
                     break
             else:
@@ -442,7 +439,7 @@ def towers_from_pattern(w: PatternWitness, h: int) -> Tower:
 def verify_pattern(w: PatternWitness, a: Nfa, b: Nfa, pump_counts=(1, 2, 3)) -> bool:
     """Replay a pattern witness: structural letter-set constraints plus
     membership of both sides' expansions for several uniform pump counts."""
-    a, b = _lift_pair(a, b)
+    a, b = lift_pair(a, b)
     for seg in w.blocks:
         if letters_of(seg.a_cycle) != seg.gamma or letters_of(seg.b_cycle) != seg.gamma:
             return False

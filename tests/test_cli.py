@@ -235,6 +235,17 @@ def test_separability_separator_json_reconstructs_and_verifies(files):
     assert data["oracle_check"]["witness_verified"] is True
 
 
+def test_separability_max_nodes_bounds_the_separator_search(files):
+    r = run_cli(
+        "separability", files["aa.aut"], files["bb.aut"],
+        "--separator", "--max-nodes", "1", "--json",
+    )
+    assert r.returncode == 0
+    data = json.loads(r.stdout)
+    assert data["verdict"] == {"separable": True, "separator_omitted": True}
+    assert data["witness"] is None
+
+
 # ---------------------------------------------------------------------- tower
 
 

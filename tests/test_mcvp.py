@@ -26,7 +26,7 @@ from ptsep.mcvp import (
     parse_circuit,
     random_circuit,
 )
-from ptsep.separability import decide_separability
+from ptsep.separability import decide_separability, verify_pattern
 
 FALSE_AND_CHAIN = """
 1 = 0
@@ -282,6 +282,17 @@ def test_instance_pair_separable_iff_circuit_false():
         c = random_circuit(2 + seed % 6, seed + 1000)
         v = decide_separability(*instance_pair(c))
         assert v.separable == (not evaluate(c)), seed
+    # beyond the small corpus: one true and one false circuit per size
+    values = []
+    for n, seed in ((60, 4), (60, 5), (120, 0), (120, 1), (200, 0), (200, 1)):
+        c = random_circuit(n, seed)
+        walker, rounds = instance_pair(c)
+        v = decide_separability(walker, rounds)
+        values.append(evaluate(c))
+        assert v.separable == (not values[-1]), (n, seed)
+        if v.witness is not None:
+            assert verify_pattern(v.witness, walker, rounds), (n, seed)
+    assert values == [True, False] * 3
 
 
 # -------------------------------------------------------------- random circuits
