@@ -658,67 +658,21 @@ def shortest_run(
     return None
 
 
-def cycle_word_covering(
-    a: Nfa, anchor: str, gamma: Iterable[str], preferred: Sequence[str] = ()
-) -> Word:
-    """A word labeling a closed run at ``anchor`` with letter set exactly
-    ``gamma``, staying inside the anchor's strongly connected component of the
-    gamma restriction. That component must carry exactly ``gamma`` as internal
-    letters (callers establish this via the common-cycle fixpoint).
-
-    Outstanding letters are collected following ``preferred`` order first
-    (then lexicographic) with shortest connecting runs; connector letters
-    count as collected, which keeps the word short.
-    """
-    gamma = frozenset(gamma)
-    comp = component_of(scc_decomposition(a, gamma), anchor)
-    if comp.letters != gamma:
-        raise AutomatonError("anchor's component does not carry exactly the requested letters")
-    rank = {sym: i for i, sym in enumerate(preferred)}
-
-    def order_key(sym: str) -> tuple[int, str]:
-        return (rank.get(sym, len(rank)), sym)
-
-    edges_by_letter: dict[str, list[tuple[str, str]]] = {}
-    for src, sym, dst in a.transitions:
-        if sym in gamma and src in comp.states and dst in comp.states:
-            edges_by_letter.setdefault(sym, []).append((src, dst))
-    for lst in edges_by_letter.values():
-        lst.sort()
-
-    remaining = set(gamma)
-    current = anchor
-    word: list[str] = []
-    while remaining:
-        target_sym = min(remaining, key=order_key)
-        sources = {src for src, _ in edges_by_letter[target_sym]}
-        run = shortest_run(a, {current}, sources, gamma=gamma, within=comp.states)
-        assert run is not None  # anchor's component is strongly connected
-        connector, path = run
-        at = path[-1]
-        dst = min(d for (s, d) in edges_by_letter[target_sym] if s == at)
-        word.extend(connector)
-        word.append(target_sym)
-        remaining -= set(connector)
-        remaining.discard(target_sym)
-        current = dst
-    back = shortest_run(a, {current}, {anchor}, gamma=gamma, within=comp.states)
-    assert back is not None
-    word.extend(back[0])
-    return tuple(word)
-
-
 def closed_run_covering_word(
-    a: Nfa, anchor: str, gamma: Iterable[str], target: Word
+    a: Nfa, anchor: str, gamma: Iterable[str], target: Word = EPSILON
 ) -> Word:
     """A word labeling a closed run at ``anchor`` with letter set exactly
-    ``gamma`` that contains ``target`` as a subsequence. Preconditions as in
-    :func:`cycle_word_covering`, plus letters(target) must lie inside gamma.
+    ``gamma`` that contains ``target`` as a subsequence, staying inside the
+    anchor's strongly connected component of the gamma restriction. That
+    component must carry exactly ``gamma`` as internal letters (callers
+    establish this via the common-cycle fixpoint), and letters(target) must
+    lie inside gamma.
 
-    The run chases the letters of ``target`` in order with shortest connecting
-    runs, so two such words over the same gamma stay roughly aligned; that
-    keeps pump counts small when one is repeatedly embedded into powers of the
-    other.
+    The run chases the letters of ``target`` in order, then each letter of
+    gamma not yet read in lexicographic order, with shortest connecting runs
+    whose letters count as read. So two such words over the same gamma stay
+    roughly aligned; that keeps pump counts small when one is repeatedly
+    embedded into powers of the other.
     """
     gamma = frozenset(gamma)
     comp = component_of(scc_decomposition(a, gamma), anchor)
@@ -734,29 +688,24 @@ def closed_run_covering_word(
     for lst in edges_by_letter.values():
         lst.sort()
 
-    current = anchor
     word: list[str] = []
-    for sym in target:
+
+    def chase(current: str, sym: str) -> str:
+        # append a shortest connector to some sym edge and the edge's letter;
+        # return the state the edge enters
         sources = {src for src, _ in edges_by_letter[sym]}
         run = shortest_run(a, {current}, sources, gamma=gamma, within=comp.states)
         assert run is not None  # anchor's component is strongly connected
         connector, path = run
-        at = path[-1]
         word.extend(connector)
         word.append(sym)
-        current = min(d for (s, d) in edges_by_letter[sym] if s == at)
-    remaining = set(gamma) - set(word)
-    while remaining:
-        sym = min(remaining)
-        sources = {src for src, _ in edges_by_letter[sym]}
-        run = shortest_run(a, {current}, sources, gamma=gamma, within=comp.states)
-        assert run is not None
-        connector, path = run
-        word.extend(connector)
-        word.append(sym)
-        remaining -= set(connector)
-        remaining.discard(sym)
-        current = min(d for (s, d) in edges_by_letter[sym] if s == path[-1])
+        return min(d for (s, d) in edges_by_letter[sym] if s == path[-1])
+
+    current = anchor
+    for sym in target:
+        current = chase(current, sym)
+    while remaining := gamma - set(word):
+        current = chase(current, min(remaining))
     back = shortest_run(a, {current}, {anchor}, gamma=gamma, within=comp.states)
     assert back is not None
     word.extend(back[0])

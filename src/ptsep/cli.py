@@ -419,17 +419,6 @@ def cmd_oracle_profiles(args, argv) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_towers(args, argv) -> int:
-    a = _load(args.first)
-    b = _load(args.second)
-    tower = bounded_tower_exists(a, b, args.height, max_nodes=args.max_nodes)
-    if tower is None:
-        print(f"no tower of height {args.height} exists")
-        return EXIT_NEGATIVE
-    _print_tower(tower, sys.stdout)
-    return EXIT_OK
-
-
 def cmd_oracle_separator(args, argv) -> int:
     a = _load(args.first)
     b = _load(args.second)
@@ -527,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("second")
     q.add_argument("--height", type=int, required=True)
     q.add_argument("--max-nodes", type=int, default=DEFAULT_TOWER_MAX_NODES)
-    q.set_defaults(func=cmd_oracle_towers)
+    q.set_defaults(func=cmd_tower, json=False, timings=False)
 
     q = osub.add_parser("separator", help="search for a k-piecewise separator")
     q.add_argument("first")

@@ -54,15 +54,20 @@ class KProfile:
     pieces: frozenset[Word]
 
 
+def _extend(prof: frozenset[Word], sym: str, k: int) -> frozenset[Word]:
+    """The k-pieces of w·sym from those of w: every piece with room grows by sym."""
+    return prof | frozenset(p + (sym,) for p in prof if len(p) < k)
+
+
 def profile_k(w: Word, k: int) -> KProfile:
     """Compute the k-profile incrementally: appending a letter extends every
     stored piece that still has room."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    pieces: set[Word] = {EPSILON}
+    pieces = frozenset({EPSILON})
     for sym in w:
-        pieces |= {p + (sym,) for p in pieces if len(p) < k}
-    return KProfile(k, frozenset(pieces))
+        pieces = _extend(pieces, sym, k)
+    return KProfile(k, pieces)
 
 
 def _compiled(d: Dfa, letters: Sequence[str]):
@@ -82,37 +87,49 @@ def _compiled(d: Dfa, letters: Sequence[str]):
     return delta, index[d.start], accepting, frozenset(alive)
 
 
-def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
-    """The set of k-profiles of accepted words, by BFS over (state, profile)
-    configurations of the determinized minimal automaton. Profiles stabilize,
-    so the space is finite; exceeding ``max_nodes`` raises Inconclusive."""
-    d = minimize(subset_construction(a))
-    letters = sorted(d.alphabet)
-    delta, start, accepting, alive = _compiled(d, letters)
+def _profile_configs(delta, start: int, allowed, letters: Sequence[str], k: int, max_nodes: int):
+    """Yield each (state, k-profile) configuration reachable from ``start``
+    in BFS order, entering only ``allowed`` states. Profiles stabilize, so
+    the space is finite; a new configuration beyond ``max_nodes`` raises
+    Inconclusive. A configuration's successors are explored only after it
+    is yielded, so a caller that stops early saves their work."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    edges = [[(t, sym) for t, sym in zip(row, letters) if t in allowed] for row in delta]
     root = (start, frozenset({EPSILON}))
     seen = {root}
     queue = deque([root])
-    found: set[frozenset[Word]] = set()
     extend_cache: dict[tuple[frozenset[Word], str], frozenset[Word]] = {}
     while queue:
-        state, prof = queue.popleft()
-        if state in accepting:
-            found.add(prof)
-        for i, sym in enumerate(letters):
-            target = delta[state][i]
-            if target not in alive:
-                continue
+        node = queue.popleft()
+        yield node
+        state, prof = node
+        for target, sym in edges[state]:
             key = (prof, sym)
             new_prof = extend_cache.get(key)
             if new_prof is None:
-                new_prof = prof | frozenset(p + (sym,) for p in prof if len(p) < k)
-                extend_cache[key] = new_prof
-            node = (target, new_prof)
-            if node not in seen:
+                new_prof = extend_cache[key] = _extend(prof, sym, k)
+            child = (target, new_prof)
+            if child not in seen:
                 if len(seen) >= max_nodes:
                     raise Inconclusive(f"profile search exceeded {max_nodes} configurations")
-                seen.add(node)
-                queue.append(node)
+                seen.add(child)
+                queue.append(child)
+
+
+def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
+    """The set of k-profiles of accepted words, by BFS over (state, profile)
+    configurations of the determinized minimal automaton, restricted to
+    states from which acceptance is still possible; exceeding ``max_nodes``
+    raises Inconclusive."""
+    d = minimize(subset_construction(a))
+    letters = sorted(d.alphabet)
+    delta, start, accepting, alive = _compiled(d, letters)
+    found = {
+        prof
+        for state, prof in _profile_configs(delta, start, alive, letters, k, max_nodes)
+        if state in accepting
+    }
     return frozenset(KProfile(k, p) for p in found)
 
 
@@ -341,34 +358,20 @@ def pt_bounded(
     """
     letters = sorted(d.alphabet)
     delta, start, accepting, _ = _compiled(d, letters)
+    states = range(len(delta))
     for k in range(1, kmax + 1):
-        conflict = False
-        status: dict[frozenset[Word], list[bool]] = {}
-        root = (start, frozenset({EPSILON}))
-        seen = {root}
-        queue = deque([root])
-        extend_cache: dict[tuple[frozenset[Word], str], frozenset[Word]] = {}
-        while queue and not conflict:
-            state, prof = queue.popleft()
-            flags = status.setdefault(prof, [False, False])
-            flags[state in accepting] = True
-            if flags[0] and flags[1]:
-                conflict = True
-                break
-            for i, sym in enumerate(letters):
-                key = (prof, sym)
-                new_prof = extend_cache.get(key)
-                if new_prof is None:
-                    new_prof = prof | frozenset(p + (sym,) for p in prof if len(p) < k)
-                    extend_cache[key] = new_prof
-                node = (delta[state][i], new_prof)
-                if node not in seen:
-                    if len(seen) >= max_nodes:
-                        return None
-                    seen.add(node)
-                    queue.append(node)
-        if not conflict:
-            return PtBoundedVerdict(is_pt=True, k=k)
+        # profiles met at rejecting states, then at accepting ones
+        met: tuple[set[frozenset[Word]], set[frozenset[Word]]] = (set(), set())
+        try:
+            for state, prof in _profile_configs(delta, start, states, letters, k, max_nodes):
+                final = state in accepting
+                met[final].add(prof)
+                if prof in met[not final]:
+                    break
+            else:
+                return PtBoundedVerdict(is_pt=True, k=k)
+        except Inconclusive:
+            return None
     structural = piecewise.is_pt_dfa(minimize(d))
     if not structural.is_pt:
         return PtBoundedVerdict(is_pt=False, k=None)

@@ -21,7 +21,6 @@ from .automata import (
     Nfa,
     Word,
     closed_run_covering_word,
-    cycle_word_covering,
     letters_of,
     lift_pair,
     membership,
@@ -307,7 +306,7 @@ def _reconstruct_witness(bp: BlockProduct, goal, parents) -> PatternWitness:
         b_entry = shortest_run(bp.b, {q}, {rel.anchor.r_b}, gamma=gamma)
         b_exit = shortest_run(bp.b, {rel.anchor.r_b}, {q2}, gamma=gamma)
         assert None not in (a_entry, a_exit, b_entry, b_exit)
-        a_cycle = cycle_word_covering(bp.a, rel.anchor.r_a, gamma, preferred=sorted(gamma))
+        a_cycle = closed_run_covering_word(bp.a, rel.anchor.r_a, gamma)
         b_cycle = closed_run_covering_word(bp.b, rel.anchor.r_b, gamma, a_cycle)
         blocks.append(
             BlockSegment(
@@ -380,6 +379,13 @@ def _copies_to_cover(u: Word, cycle: Word) -> int:
     return copies
 
 
+def _side_parts(seg: BlockSegment, side: str) -> tuple[Word, Word, Word]:
+    """A block's (entry, cycle, exit) words on side "A" or "B"."""
+    if side == "A":
+        return seg.a_entry, seg.a_cycle, seg.a_exit
+    return seg.b_entry, seg.b_cycle, seg.b_exit
+
+
 def expand_pattern(w: PatternWitness, side: str, pumps: tuple[int, ...] | list[int]) -> Word:
     """The side-A or side-B word of a pattern witness with the given pump
     count per block (each at least 1)."""
@@ -390,15 +396,12 @@ def expand_pattern(w: PatternWitness, side: str, pumps: tuple[int, ...] | list[i
     if any(m < 1 for m in pumps):
         raise ValueError("pump counts must be positive")
     out: list[str] = list(w.connectors[0])
-    for i, seg in enumerate(w.blocks):
-        if side == "A":
-            entry, cycle, exit_ = seg.a_entry, seg.a_cycle, seg.a_exit
-        else:
-            entry, cycle, exit_ = seg.b_entry, seg.b_cycle, seg.b_exit
+    for seg, m, connector in zip(w.blocks, pumps, w.connectors[1:]):
+        entry, cycle, exit_ = _side_parts(seg, side)
         out.extend(entry)
-        out.extend(cycle * pumps[i])
+        out.extend(cycle * m)
         out.extend(exit_)
-        out.extend(w.connectors[i + 1])
+        out.extend(connector)
     return tuple(out)
 
 
@@ -414,25 +417,13 @@ def towers_from_pattern(w: PatternWitness, h: int) -> Tower:
     prev_blocks: list[Word] | None = None
     for level in range(h):
         side = "A" if level % 2 == 0 else "B"
-        blocks: list[Word] = []
-        pumps: list[int] = []
-        for i, seg in enumerate(w.blocks):
-            if side == "A":
-                entry, cycle, exit_ = seg.a_entry, seg.a_cycle, seg.a_exit
-            else:
-                entry, cycle, exit_ = seg.b_entry, seg.b_cycle, seg.b_exit
-            if prev_blocks is None:
-                m = 1
-            else:
-                m = _copies_to_cover(prev_blocks[i], cycle)
-            pumps.append(m)
-            blocks.append(entry + cycle * m + exit_)
-        word: list[str] = list(w.connectors[0])
-        for i, block in enumerate(blocks):
-            word.extend(block)
-            word.extend(w.connectors[i + 1])
-        words.append(tuple(word))
-        prev_blocks = blocks
+        parts = [_side_parts(seg, side) for seg in w.blocks]
+        if prev_blocks is None:
+            pumps = [1] * len(parts)
+        else:
+            pumps = [_copies_to_cover(u, cycle) for u, (_, cycle, _) in zip(prev_blocks, parts)]
+        words.append(expand_pattern(w, side, pumps))
+        prev_blocks = [entry + cycle * m + exit_ for (entry, cycle, exit_), m in zip(parts, pumps)]
     return Tower(words=tuple(words), start_side="A")
 
 

@@ -20,7 +20,6 @@ from ptsep.automata import (
     ParseError,
     closed_run_covering_word,
     cycle_over_alphabet,
-    cycle_word_covering,
     equivalent,
     language_empty,
     letters_of,
@@ -537,7 +536,7 @@ def test_cycle_word_covering_produces_exact_closed_runs():
                 if comp.letters != gamma:
                     continue
                 anchor = sorted(comp.states)[0]
-                word = cycle_word_covering(a, anchor, gamma, preferred=sorted(gamma))
+                word = closed_run_covering_word(a, anchor, gamma)
                 assert word and letters_of(word) == gamma
                 assert anchor in _set_walk(a, {anchor}, word, within=comp.states)
                 checked += 1
@@ -546,7 +545,7 @@ def test_cycle_word_covering_produces_exact_closed_runs():
 
 def test_cycle_word_covering_rejects_wrong_component():
     # empty request: the trivial closed run qualifies
-    assert cycle_word_covering(aut(EVEN_A), "e", frozenset()) == ()
+    assert closed_run_covering_word(aut(EVEN_A), "e", frozenset()) == ()
     b = aut(
         """
         kind: nfa
@@ -563,7 +562,7 @@ def test_cycle_word_covering_rejects_wrong_component():
     )
     # p's component under {a,b} only cycles on a; the b edge leaves it
     with pytest.raises(AutomatonError):
-        cycle_word_covering(b, "p", {"a", "b"})
+        closed_run_covering_word(b, "p", {"a", "b"})
 
 
 def test_closed_run_covering_word_embeds_target():

@@ -387,6 +387,13 @@ def test_oracle_profiles_frozen_output(files):
     assert r.stdout == "1 accepted 1-profiles:\n  ε, a\n"
 
 
+def test_oracle_profiles_negative_k_is_exit_2(files):
+    r = run_cli("oracle", "profiles", files["aa.aut"], "--k", "-1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "error: k must be nonnegative\n"
+
+
 def test_oracle_towers(files):
     r = run_cli("oracle", "towers", files["aa.aut"], files["bb.aut"], "--height", "2")
     assert r.returncode == 1

@@ -145,6 +145,8 @@ def test_profile_k_boundaries():
     assert profile_k(("a",), 0) == KProfile(0, frozenset({()}))
     with pytest.raises(ValueError):
         profile_k(("a",), -1)
+    with pytest.raises(ValueError):
+        reachable_profiles(aut(AA_PLUS), -1)
 
 
 def test_reachable_profiles_frozen_value():
@@ -359,3 +361,16 @@ def test_pt_bounded_needs_enough_k_for_four_pieces():
 def test_pt_bounded_handles_budget_exhaustion():
     even_a = aut("kind: dfa\nstates: e o\nalphabet: a\ninitial: e\nfinal: e\ntrans: e a o\ntrans: o a e\n")
     assert pt_bounded(even_a, 2, max_nodes=1) is None
+
+
+def test_pt_bounded_stops_at_the_first_conflict():
+    # even number of a's over {a,b,c,d}: the 1-profile {ε,a} is met at o
+    # (after "a") and at e (after "aa") among the first 12 configurations,
+    # while the full 1-profile space has 24 and overruns the budget
+    lines = ["kind: dfa", "states: e o", "alphabet: a b c d", "initial: e", "final: e"]
+    lines += ["trans: e a o", "trans: o a e"]
+    lines += [f"trans: {q} {sym} {q}" for q in "eo" for sym in "bcd"]
+    d = aut("\n".join(lines))
+    with pytest.raises(Inconclusive):
+        reachable_profiles(d, 1, max_nodes=12)
+    assert pt_bounded(d, 1, max_nodes=12) == PtBoundedVerdict(is_pt=False, k=None)
