@@ -2,19 +2,21 @@
 operations, and the alphabet-restricted graph queries behind the decision
 procedures in the rest of the package.
 
-Automata are immutable; every operation returns a fresh automaton. State and
-symbol names are plain tokens (nonempty, no whitespace, no ``#``). Anything
-that can influence observable output (state naming, witness words, serialized
-text) is produced by iterating in sorted order, so results are reproducible
-across processes regardless of hash seeding.
+Automata are immutable; every operation returns a fresh automaton. Each
+automaton indexes its transitions once, on first use, as state -> letter ->
+sorted targets, and every graph query reads that index. State and symbol
+names are plain tokens (nonempty, no whitespace, no ``#``). Anything that can
+influence observable output (state naming, witness words, serialized text) is
+produced by iterating in sorted order, so results are reproducible across
+processes regardless of hash seeding.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[str, ...]
 Transition = tuple[str, str, str]
@@ -98,19 +100,31 @@ class Nfa:
         )
 
     @cached_property
-    def _succ(self) -> dict[tuple[str, str], frozenset[str]]:
-        table: dict[tuple[str, str], set[str]] = {}
+    def _out(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """The transition index every graph query reads: state -> letter ->
+        sorted tuple of targets. Every state has a row; a letter without a
+        transition has no entry. Tuples of names drop out of the garbage
+        collector's scans, which a large DFA's index of lists would slow."""
+        out: dict[str, dict[str, tuple[str, ...]]] = {q: {} for q in self.states}
+        many: dict[tuple[str, str], list[str]] = {}
         for src, sym, dst in self.transitions:
-            table.setdefault((src, sym), set()).add(dst)
-        return {key: frozenset(val) for key, val in table.items()}
+            row = out[src]
+            if sym in row:
+                many.setdefault((src, sym), list(row[sym])).append(dst)
+            else:
+                row[sym] = (dst,)
+        for (src, sym), dsts in many.items():
+            out[src][sym] = tuple(sorted(dsts))
+        return out
 
     def successors(self, state: str, symbol: str) -> frozenset[str]:
-        return self._succ.get((state, symbol), frozenset())
+        return frozenset(self._out.get(state, {}).get(symbol, ()))
 
     def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         out: set[str] = set()
+        index = self._out
         for q in states:
-            out |= self._succ.get((q, symbol), frozenset())
+            out.update(index.get(q, {}).get(symbol, ()))
         return frozenset(out)
 
 
@@ -123,26 +137,24 @@ class Dfa(Nfa):
         super().__post_init__()
         if len(self.initial) != 1:
             raise AutomatonError("a DFA declares exactly one initial state")
-        seen: set[tuple[str, str]] = set()
-        for src, sym, _ in self.transitions:
-            if (src, sym) in seen:
-                raise AutomatonError(f"duplicate transition for ({src}, {sym}) in a DFA")
-            seen.add((src, sym))
-        for q in self.states:
-            for sym in self.alphabet:
-                if (q, sym) not in seen:
-                    raise AutomatonError(f"incomplete DFA: no transition for ({q}, {sym})")
-
-    @cached_property
-    def _delta(self) -> dict[tuple[str, str], str]:
-        return {(src, sym): dst for src, sym, dst in self.transitions}
+        # the index is built here and doubles as the check: a row per state
+        # with one entry per letter, each holding exactly one target
+        out = self._out
+        if sum(map(len, out.values())) != len(self.transitions):
+            q, sym = min((q, y) for q, row in out.items() for y, ts in row.items() if len(ts) > 1)
+            raise AutomatonError(f"duplicate transition for ({q}, {sym}) in a DFA")
+        width = len(self.alphabet)
+        if any(len(row) != width for row in out.values()):
+            q = min(q for q, row in out.items() if len(row) != width)
+            sym = min(self.alphabet - out[q].keys())
+            raise AutomatonError(f"incomplete DFA: no transition for ({q}, {sym})")
 
     @property
     def start(self) -> str:
         return next(iter(self.initial))
 
     def step(self, state: str, symbol: str) -> str:
-        return self._delta[(state, symbol)]
+        return self._out[state][symbol][0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +283,11 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
     alphabet = frozenset(alphabet)
     if not a.alphabet <= alphabet:
         raise AlphabetMismatchError("lift target must contain the current alphabet")
-    return Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
+    lifted = Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
+    if "_out" in a.__dict__:
+        # the new letters carry no transitions, so a built index still holds
+        lifted.__dict__["_out"] = a._out
+    return lifted
 
 
 def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
@@ -291,12 +307,24 @@ def language_empty(a: Nfa) -> bool:
     return not trim(a).states
 
 
+def _distinct_names(names: dict, what: str) -> set[str]:
+    """The state names given to the keys of ``names``. Names are built from
+    member names, which may contain the separator, so two distinct keys can
+    get one name; that would merge two states, and is refused."""
+    states = set(names.values())
+    if len(states) < len(names):
+        label = min(n for n, count in Counter(names.values()).items() if count > 1)
+        raise AutomatonError(f"two distinct {what} would both be named {label}")
+    return states
+
+
 def subset_construction(a: Nfa) -> Dfa:
     """Determinize by the subset construction.
 
     Only subsets reachable from the set of initial states are kept; the empty
     subset acts as the rejecting sink. Subset states are named
     ``{m1,m2,...}`` by their sorted members (the empty subset is ``{}``).
+    Raises AutomatonError when two reachable subsets would get one name.
     """
     letters = sorted(a.alphabet)
 
@@ -305,18 +333,20 @@ def subset_construction(a: Nfa) -> Dfa:
 
     start = frozenset(a.initial)
     order: list[frozenset[str]] = [start]
-    seen = {start}
+    names = {start: name(start)}
     triples: set[Transition] = set()
     for subset in order:
+        src = names[subset]
         for sym in letters:
             target = a.step_set(subset, sym)
-            triples.add((name(subset), sym, name(target)))
-            if target not in seen:
-                seen.add(target)
+            dst = names.get(target)
+            if dst is None:
+                dst = names[target] = name(target)
                 order.append(target)
-    states = {name(s) for s in seen}
-    final = {name(s) for s in seen if s & a.final}
-    return Dfa.build(states, a.alphabet, triples, {name(start)}, final)
+            triples.add((src, sym, dst))
+    states = _distinct_names(names, "subsets")
+    final = {names[s] for s in order if s & a.final}
+    return Dfa.build(states, a.alphabet, triples, {names[start]}, final)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -327,14 +357,15 @@ def minimize(d: Dfa) -> Dfa:
     member. An empty language collapses to a single non-accepting sink state.
     """
     letters = sorted(d.alphabet)
-    delta = d._delta
+    index = d._out
     start = d.start
     # each reachable state's targets, one per letter in sorted letter order
     rows: dict[str, tuple[str, ...]] = {}
     reachable: list[str] = [start]
     seen = {start}
     for q in reachable:
-        row = rows[q] = tuple(delta[(q, sym)] for sym in letters)
+        out_q = index[q]
+        row = rows[q] = tuple([out_q[sym][0] for sym in letters])
         for t in row:
             if t not in seen:
                 seen.add(t)
@@ -399,29 +430,22 @@ def trim(a: Nfa) -> Nfa:
     an initial state and co-reachable to a final state). The language is
     unchanged; the result may have zero states and is a plain Nfa even when
     the input was complete."""
-    forward: set[str] = set()
-    queue = deque(sorted(a.initial))
-    forward.update(queue)
-    succ: dict[str, list[str]] = {}
-    pred: dict[str, list[str]] = {}
+    index = a._out
+    forward = set(a.initial)
+    queue = list(forward)
+    for q in queue:
+        new = set().union(*index[q].values()) - forward
+        forward |= new
+        queue.extend(new)
+    pred: dict[str, list[str]] = {q: [] for q in a.states}
     for src, _, dst in a.transitions:
-        succ.setdefault(src, []).append(dst)
-        pred.setdefault(dst, []).append(src)
-    while queue:
-        q = queue.popleft()
-        for nxt in succ.get(q, ()):
-            if nxt not in forward:
-                forward.add(nxt)
-                queue.append(nxt)
-    backward: set[str] = set()
-    queue = deque(sorted(a.final))
-    backward.update(queue)
-    while queue:
-        q = queue.popleft()
-        for prv in pred.get(q, ()):
-            if prv not in backward:
-                backward.add(prv)
-                queue.append(prv)
+        pred[dst].append(src)
+    backward = set(a.final)
+    queue = list(backward)
+    for q in queue:
+        new = set(pred[q]) - backward
+        backward |= new
+        queue.extend(new)
     keep = frozenset(forward & backward)
     triples = {(s, y, d) for (s, y, d) in a.transitions if s in keep and d in keep}
     return Nfa(keep, a.alphabet, frozenset(triples), a.initial & keep, a.final & keep)
@@ -429,42 +453,35 @@ def trim(a: Nfa) -> Nfa:
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Synchronized product recognizing L(a) & L(b); states are reachable
-    pairs named ``(p,q)``."""
+    pairs named ``(p,q)``. Raises AutomatonError when two reachable pairs
+    would get one name."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("product requires a shared alphabet")
-    letters = sorted(a.alphabet)
-
-    def name(p: str, q: str) -> str:
-        return f"({p},{q})"
-
+    out_a, out_b = a._out, b._out
     start_pairs = sorted((p, q) for p in a.initial for q in b.initial)
     order = list(start_pairs)
-    seen = set(start_pairs)
+    names = {pair: f"({pair[0]},{pair[1]})" for pair in start_pairs}
     triples: set[Transition] = set()
-    for (p, q) in order:
-        for sym in letters:
-            for pn in sorted(a.successors(p, sym)):
-                for qn in sorted(b.successors(q, sym)):
-                    triples.add((name(p, q), sym, name(pn, qn)))
-                    if (pn, qn) not in seen:
-                        seen.add((pn, qn))
-                        order.append((pn, qn))
-    states = {name(p, q) for (p, q) in seen}
-    initial = {name(p, q) for (p, q) in start_pairs}
-    final = {name(p, q) for (p, q) in seen if p in a.final and q in b.final}
+    for pair in order:
+        src = names[pair]
+        row_a, row_b = out_a[pair[0]], out_b[pair[1]]
+        for sym in sorted(row_a.keys() & row_b.keys()):
+            for pn in row_a[sym]:
+                for qn in row_b[sym]:
+                    child = (pn, qn)
+                    dst = names.get(child)
+                    if dst is None:
+                        dst = names[child] = f"({pn},{qn})"
+                        order.append(child)
+                    triples.add((src, sym, dst))
+    states = _distinct_names(names, "pairs")
+    initial = {names[pair] for pair in start_pairs}
+    final = {names[(p, q)] for (p, q) in order if p in a.final and q in b.final}
     return Nfa.build(states, a.alphabet, triples, initial, final)
 
 
 # ---------------------------------------------------------------------------
 # alphabet-restricted graph queries
-
-
-def _restricted_adjacency(a: Nfa, gamma: frozenset[str]) -> dict[str, list[str]]:
-    adj: dict[str, set[str]] = {q: set() for q in a.states}
-    for src, sym, dst in a.transitions:
-        if sym in gamma:
-            adj[src].add(dst)
-    return {q: sorted(vals) for q, vals in adj.items()}
 
 
 def restricted_reach(a: Nfa, gamma: Iterable[str]) -> dict[str, frozenset[str]]:
@@ -473,14 +490,17 @@ def restricted_reach(a: Nfa, gamma: Iterable[str]) -> dict[str, frozenset[str]]:
     gamma = frozenset(gamma)
     if not gamma <= a.alphabet:
         raise AlphabetMismatchError("gamma must be a subset of the alphabet")
-    adj = _restricted_adjacency(a, gamma)
+    # each state's successors over gamma, read once for the searches from every root
+    succ = {
+        q: {t for sym, dsts in row.items() if sym in gamma for t in dsts}
+        for q, row in a._out.items()
+    }
     result: dict[str, frozenset[str]] = {}
     for root in a.states:
         seen = {root}
-        queue = deque([root])
-        while queue:
-            q = queue.popleft()
-            for nxt in adj[q]:
+        queue = [root]
+        for q in queue:
+            for nxt in succ[q]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
@@ -507,50 +527,49 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
     gamma = frozenset(gamma)
     if not gamma <= a.alphabet:
         raise AlphabetMismatchError("gamma must be a subset of the alphabet")
-    adj = _restricted_adjacency(a, gamma)
+    rows = a._out
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     comps: list[set[str]] = []
+    work: list[tuple[str, Iterator[str]]] = []
+
+    def visit(q: str) -> None:
+        index[q] = low[q] = len(index)
+        stack.append(q)
+        on_stack.add(q)
+        # successors in sorted order, so the component order is reproducible
+        succ = {t for sym, dsts in rows[q].items() if sym in gamma for t in dsts}
+        work.append((q, iter(sorted(succ))))
 
     for root in sorted(a.states):
         if root in index:
             continue
-        work: list[tuple[str, Iterable[str]]] = []
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work.append((root, iter(adj[root])))
+        visit(root)
         while work:
             q, it = work[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
+                    visit(nxt)
                     break
                 if nxt in on_stack:
                     low[q] = min(low[q], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[q])
-            if low[q] == index[q]:
-                comp: set[str] = set()
-                while True:
-                    v = stack.pop()
-                    on_stack.discard(v)
-                    comp.add(v)
-                    if v == q:
-                        break
-                comps.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[q])
+                if low[q] == index[q]:
+                    comp: set[str] = set()
+                    while True:
+                        v = stack.pop()
+                        on_stack.discard(v)
+                        comp.add(v)
+                        if v == q:
+                            break
+                    comps.append(comp)
     comps.reverse()
 
     member: dict[str, int] = {}
@@ -558,9 +577,14 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
         for q in comp:
             member[q] = i
     letters: list[set[str]] = [set() for _ in comps]
-    for src, sym, dst in a.transitions:
-        if sym in gamma and member[src] == member[dst]:
-            letters[member[src]].add(sym)
+    for q, i in member.items():
+        inside = letters[i]
+        for sym, dsts in rows[q].items():
+            if sym in gamma and sym not in inside:
+                for t in dsts:
+                    if member[t] == i:
+                        inside.add(sym)
+                        break
     return [Component(frozenset(c), frozenset(l)) for c, l in zip(comps, letters)]
 
 
@@ -595,9 +619,10 @@ def cycle_over_alphabet(
 
 def self_loop_letters(d: Nfa, q: str) -> frozenset[str]:
     """Symbols under which ``q`` has a transition back to itself."""
-    if q not in d.states:
+    row = d._out.get(q)
+    if row is None:
         raise AutomatonError(f"unknown state {q!r}")
-    return frozenset(sym for (src, sym, dst) in d.transitions if src == q and dst == q)
+    return frozenset([sym for sym, dsts in row.items() if q in dsts])
 
 
 # ---------------------------------------------------------------------------
@@ -629,32 +654,25 @@ def shortest_run(
     parent: dict[str, tuple[str, str]] = {}
     seen = set(source_list)
     queue = deque(source_list)
-    edges: dict[str, list[tuple[str, str]]] = {}
-    for src, sym, dst in a.transitions:
-        if sym in allowed:
-            edges.setdefault(src, []).append((sym, dst))
-    for lst in edges.values():
-        lst.sort()
+    index = a._out
     while queue:
         q = queue.popleft()
-        for sym, nxt in edges.get(q, ()):
-            if nxt in seen or (inside is not None and nxt not in inside):
-                continue
-            seen.add(nxt)
-            parent[nxt] = (q, sym)
-            if nxt in target_set:
-                word: list[str] = []
-                path = [nxt]
-                cur = nxt
-                while cur in parent:
-                    prev, psym = parent[cur]
-                    word.append(psym)
-                    path.append(prev)
-                    cur = prev
-                word.reverse()
-                path.reverse()
-                return (tuple(word), tuple(path))
-            queue.append(nxt)
+        row = index[q]
+        for sym in sorted(row.keys() & allowed):
+            for nxt in row[sym]:
+                if nxt in seen or (inside is not None and nxt not in inside):
+                    continue
+                seen.add(nxt)
+                parent[nxt] = (q, sym)
+                if nxt in target_set:
+                    word: list[str] = []
+                    path = [nxt]
+                    while path[-1] in parent:
+                        prev, psym = parent[path[-1]]
+                        word.append(psym)
+                        path.append(prev)
+                    return (tuple(reversed(word)), tuple(reversed(path)))
+                queue.append(nxt)
     return None
 
 
@@ -681,25 +699,23 @@ def closed_run_covering_word(
     if not letters_of(target) <= gamma:
         raise AutomatonError("target word uses letters outside gamma")
 
-    edges_by_letter: dict[str, list[tuple[str, str]]] = {}
-    for src, sym, dst in a.transitions:
-        if sym in gamma and src in comp.states and dst in comp.states:
-            edges_by_letter.setdefault(sym, []).append((src, dst))
-    for lst in edges_by_letter.values():
-        lst.sort()
-
+    index = a._out
     word: list[str] = []
+
+    def entered(src: str, sym: str) -> list[str]:
+        # the component's states that a sym edge from src enters, sorted
+        return [t for t in index[src].get(sym, ()) if t in comp.states]
 
     def chase(current: str, sym: str) -> str:
         # append a shortest connector to some sym edge and the edge's letter;
         # return the state the edge enters
-        sources = {src for src, _ in edges_by_letter[sym]}
+        sources = {q for q in comp.states if entered(q, sym)}
         run = shortest_run(a, {current}, sources, gamma=gamma, within=comp.states)
         assert run is not None  # anchor's component is strongly connected
         connector, path = run
         word.extend(connector)
         word.append(sym)
-        return min(d for (s, d) in edges_by_letter[sym] if s == path[-1])
+        return entered(path[-1], sym)[0]
 
     current = anchor
     for sym in target:

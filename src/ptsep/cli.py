@@ -239,8 +239,10 @@ def cmd_separability(args, argv) -> int:
     a = _load(args.first)
     b = _load(args.second)
     rep.mark("parse")
+    # an explicit --max-nodes binds every probe, the tower probes included
+    max_nodes = DEFAULT_MAX_NODES if args.max_nodes is None else args.max_nodes
     verdict = decide_separability(
-        a, b, want_separator=args.separator, kmax=args.kmax, max_nodes=args.max_nodes
+        a, b, want_separator=args.separator, kmax=args.kmax, max_nodes=max_nodes
     )
     rep.mark("decide")
     rep.verdict = {
@@ -265,7 +267,7 @@ def cmd_separability(args, argv) -> int:
             ),
         }
         try:
-            witness_ok = verify_separator(verdict.separator, a, b, args.max_nodes)
+            witness_ok = verify_separator(verdict.separator, a, b, max_nodes)
         except Inconclusive:
             witness_ok = None
     rep.mark("witness")
@@ -273,9 +275,8 @@ def cmd_separability(args, argv) -> int:
     if args.no_oracle:
         rep.oracle_check = {"ran": False, "status": "skipped", "witness_verified": witness_ok}
     else:
-        oracle = dual_deepening(
-            a, b, kmax=args.kmax, hmax=args.hmax, max_nodes=args.max_nodes
-        )
+        tower_budget = DEFAULT_TOWER_MAX_NODES if args.max_nodes is None else max_nodes
+        oracle = dual_deepening(a, b, args.kmax, args.hmax, max_nodes, tower_budget)
         if oracle is None:
             status = "inconclusive"
         elif oracle.separable == verdict.separable:
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hmax", type=int, default=5, help="tower height bound for the oracle")
     p.add_argument("--no-oracle", action="store_true", help="skip the oracle cross-check")
     add_common(p)
-    p.set_defaults(func=cmd_separability)
+    p.set_defaults(func=cmd_separability, max_nodes=None)
 
     p = sub.add_parser("tower", help="find a tower of a given height")
     p.add_argument("first")

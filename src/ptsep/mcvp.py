@@ -153,17 +153,8 @@ def _complete(
     sink = "sink"
     assert sink not in states
     all_states = states | {sink}
-    transitions = set()
-    for q in all_states:
-        for sym in alphabet:
-            transitions.add((q, sym, table.get((q, sym), sink)))
-    return Dfa.build(
-        states=all_states,
-        alphabet=alphabet,
-        transitions=transitions,
-        initial={initial},
-        final=final,
-    )
+    transitions = {(q, sym, table.get((q, sym), sink)) for q in all_states for sym in alphabet}
+    return Dfa.build(all_states, alphabet, transitions, {initial}, final)
 
 
 def build_certificate_dfa(c: Circuit) -> Dfa:

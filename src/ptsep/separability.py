@@ -214,25 +214,14 @@ def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
     return BlockProduct(a=a, b=b, anchors=tuple(anchors))
 
 
-def _out_edges(a: Nfa) -> dict[str, dict[str, list[str]]]:
-    """Per state, its successors by letter, each list sorted."""
-    table: dict[str, dict[str, list[str]]] = {q: {} for q in a.states}
-    for src, sym, dst in a.transitions:
-        table[src].setdefault(sym, []).append(dst)
-    for by_sym in table.values():
-        for dsts in by_sym.values():
-            dsts.sort()
-    return table
-
-
 def _search_block_product(bp: BlockProduct):
     """BFS from the initial pairs over letter and block edges; each anchor
     fires at most once since its targets do not depend on the source. Letter
     children of (p, q) come from joining the out-edges of p and q on their
     shared letters, in (letter, child pair) order. Returns (goal_node,
     parents) or None; deterministic via sorted exploration."""
-    out_a = _out_edges(bp.a)
-    out_b = _out_edges(bp.b)
+    out_a = bp.a._out
+    out_b = bp.b._out
 
     def accepting(node: tuple[str, str]) -> bool:
         return node[0] in bp.a.final and node[1] in bp.b.final

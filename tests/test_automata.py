@@ -249,6 +249,26 @@ def test_subset_construction_names_subsets_by_members():
     assert d.step("{u}", "b") == "{}"
 
 
+def test_subset_construction_refuses_ambiguous_subset_names():
+    # {x, y} and {"x,y"} would both be named {x,y}; merging them would make
+    # the DFA accept the empty word, which the NFA rejects
+    a = aut(
+        """
+        kind: nfa
+        states: x y x,y
+        alphabet: c
+        initial: x y
+        final: x,y
+        trans: x c x,y
+        trans: y c x,y
+        trans: x,y c x,y
+        """
+    )
+    assert not membership(a, ())
+    with pytest.raises(AutomatonError, match="named {x,y}"):
+        subset_construction(a)
+
+
 def test_minimize_preserves_language_and_is_minimal():
     rng = random.Random(12)
     for _ in range(60):
@@ -372,6 +392,14 @@ def test_product_intersection_matches_set_intersection():
         assert brute_language(p, 5) == brute_language(al, 5) & brute_language(bl, 5)
     with pytest.raises(AlphabetMismatchError):
         product_intersection(aut(EVEN_A), aut(SIGMA_STAR))
+
+
+def test_product_intersection_refuses_ambiguous_pair_names():
+    # ("a,b", "c") and ("a", "b,c") would both be named (a,b,c)
+    a = Nfa.build(["a,b", "a"], ["x"], [], ["a,b", "a"], [])
+    b = Nfa.build(["c", "b,c"], ["x"], [], ["c", "b,c"], [])
+    with pytest.raises(AutomatonError, match=r"named \(a,b,c\)"):
+        product_intersection(a, b)
 
 
 # ------------------------------------------------- restricted graph queries

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -70,16 +71,34 @@ trans: e a o
 trans: o a e
 """
 
+# not PT: p reaches both q and qp over their common self-loop letters {a, b}
+STARTS_WITH_A = """\
+kind: dfa
+states: p q qp
+alphabet: a b
+initial: p
+final: q
+trans: p a q
+trans: p b qp
+trans: q a q
+trans: q b q
+trans: qp a qp
+trans: qp b qp
+"""
+
 FALSE_CIRCUIT = "1 = 0\n2 = 1\n3 = AND 1 2\n4 = OR 3 3\n"
 TRUE_CIRCUIT = "1 = 1\n"
+MIXED_CIRCUIT = "1 = 1\n2 = 0\n3 = OR 1 2\n4 = AND 3 1\n5 = OR 4 2\n6 = AND 5 3\n"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, hash_seed=None):
+    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
     return subprocess.run(
         [sys.executable, "-m", "ptsep", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=120,
     )
 
@@ -93,8 +112,10 @@ def files(tmp_path):
         "ab.aut": AB_CYCLE,
         "ba.aut": BA_CYCLE,
         "even.aut": EVEN_A,
+        "starts_a.aut": STARTS_WITH_A,
         "false.mcvp": FALSE_CIRCUIT,
         "true.mcvp": TRUE_CIRCUIT,
+        "mixed.mcvp": MIXED_CIRCUIT,
     }.items():
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
@@ -153,15 +174,31 @@ def test_pt_check_timings_key_only_when_asked(files):
     assert set(timed["timings"]) == {"parse", "decide", "oracle"}
 
 
+def test_pt_check_max_nodes_bounds_the_oracle(files):
+    r = run_cli("pt-check", files["even.aut"], "--max-nodes", "1")
+    assert r.returncode == 1
+    assert "oracle check (profile conflicts, kmax=4): inconclusive" in r.stdout
+
+
 def test_pt_check_no_oracle(files):
     data = json.loads(run_cli("pt-check", files["aa.aut"], "--json", "--no-oracle").stdout)
     assert data["oracle_check"] == {"ran": False, "status": "skipped"}
 
 
 def test_cli_output_is_deterministic(files):
-    a = run_cli("separability", files["ab.aut"], files["ba.aut"], "--json")
-    b = run_cli("separability", files["ab.aut"], files["ba.aut"], "--json")
-    assert a.stdout == b.stdout and a.returncode == b.returncode
+    # a pattern witness, a separator, a triple witness and an MCVP pattern,
+    # each printed under two hash seeds
+    for args in (
+        ("separability", "ab.aut", "ba.aut", "--json"),
+        ("separability", "aa.aut", "bb.aut", "--separator", "--json"),
+        ("pt-check", "starts_a.aut", "--json"),
+        ("mcvp", "endtoend", "mixed.mcvp", "--json"),
+    ):
+        argv = [files.get(x, x) for x in args]
+        runs = [run_cli(*argv, hash_seed=seed) for seed in ("0", "1")]
+        assert runs[0].stderr == "", args
+        assert runs[0].stdout == runs[1].stdout, args
+        assert runs[0].returncode == runs[1].returncode, args
 
 
 # --------------------------------------------------------------- separability
@@ -244,6 +281,15 @@ def test_separability_max_nodes_bounds_the_separator_search(files):
     data = json.loads(r.stdout)
     assert data["verdict"] == {"separable": True, "separator_omitted": True}
     assert data["witness"] is None
+
+
+def test_separability_max_nodes_bounds_the_tower_probes(files):
+    # at the default tower budget the oracle proves no tower of height 2
+    r = run_cli("separability", files["aa.aut"], files["bb.aut"], "--max-nodes", "1", "--json")
+    assert r.returncode == 0
+    data = json.loads(r.stdout)
+    assert data["oracle_check"]["status"] == "inconclusive"
+    assert data["oracle_check"]["level"] is None
 
 
 # ---------------------------------------------------------------------- tower
@@ -392,6 +438,23 @@ def test_oracle_profiles_negative_k_is_exit_2(files):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr == "error: k must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("oracle", "profiles", "aa.aut", "--k", "1"),
+        ("oracle", "separator", "aa.aut", "bb.aut"),
+        ("oracle", "towers", "ab.aut", "ba.aut", "--height", "3"),
+    ],
+    ids=["profiles", "separator", "towers"],
+)
+def test_oracle_budget_overrun_is_exit_2(files, args):
+    argv = [files.get(x, x) for x in args]
+    r = run_cli(*argv, "--max-nodes", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("inconclusive:")
 
 
 def test_oracle_towers(files):

@@ -1,0 +1,73 @@
+"""Exact outputs on the acceptance corpora, pinned by digest.
+
+Each instance is dumped in a canonical text form (sets sorted, automata
+serialized) and hashed; ``golden_outputs.txt`` holds one ``<instance>
+<digest>`` line per instance, so a failure names the instances whose
+verdict, witness, tower or minimal DFA changed. Covered: the 300 seed-777
+pairs (``decide_separability``, its pattern witness and
+``towers_from_pattern(., 4)``) and the 1000 seed-4242 NFAs (``is_pt_nfa``:
+verdict, witness and minimal DFA).
+
+Regenerate, only after a deliberate output change, with
+``PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.txt``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import random
+from pathlib import Path
+
+from conftest import random_nfa
+from ptsep.automata import Nfa, serialize_automaton
+from ptsep.piecewise import is_pt_nfa
+from ptsep.separability import decide_separability, towers_from_pattern
+
+GOLDEN = Path(__file__).with_name("golden_outputs.txt")
+
+
+def canonical(x) -> str:
+    if isinstance(x, Nfa):
+        return repr(serialize_automaton(x))
+    if dataclasses.is_dataclass(x):
+        fields = (f"{f.name}={canonical(getattr(x, f.name))}" for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({', '.join(fields)})"
+    if isinstance(x, frozenset):
+        return "{" + ", ".join(sorted(canonical(v) for v in x)) + "}"
+    if isinstance(x, tuple):
+        inner = ", ".join(canonical(v) for v in x)
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    return repr(x)
+
+
+def instances():
+    """(instance name, canonical output) for every covered instance."""
+    rng = random.Random(777)
+    for i in range(300):
+        a = random_nfa(rng, max_states=5)
+        b = random_nfa(rng, max_states=5)
+        v = decide_separability(a, b)
+        tower = None if v.witness is None else towers_from_pattern(v.witness, 4)
+        yield f"pair-{i}", canonical((v, tower))
+    rng = random.Random(4242)
+    for i in range(1000):
+        yield f"nfa-{i}", canonical(is_pt_nfa(random_nfa(rng, max_states=6)))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_outputs_match_the_golden_digests():
+    expected = dict(line.split() for line in GOLDEN.read_text(encoding="utf-8").splitlines())
+    outputs = dict(instances())
+    assert outputs.keys() == expected.keys()
+    changed = [name for name, text in outputs.items() if digest(text) != expected[name]]
+    shown = "\n".join(f"{name}: {outputs[name]}" for name in changed[:3])
+    assert not changed, f"{len(changed)} instances changed, first {changed[:10]}:\n{shown}"
+
+
+if __name__ == "__main__":
+    for name, text in instances():
+        print(name, digest(text))
