@@ -372,7 +372,7 @@ def pt_bounded(
                 return PtBoundedVerdict(is_pt=True, k=k)
         except Inconclusive:
             return None
-    structural = piecewise.is_pt_dfa(minimize(d))
+    structural = piecewise._structural_verdict(minimize(d))
     if not structural.is_pt:
         return PtBoundedVerdict(is_pt=False, k=None)
     return None

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import aut, brute_language, random_nfa
-from ptsep.automata import subset_construction
+from ptsep import piecewise
+from ptsep.automata import Dfa, minimize, self_loop_letters, shortest_run, subset_construction
+from ptsep.oracles import pt_bounded
 from ptsep.piecewise import (
     NontrivialCycle,
     NotMinimalError,
@@ -187,6 +189,14 @@ def test_verify_rejects_tampered_witnesses():
     assert not verify_pt_witness(
         PtVerdict(False, Triple(w.p, w.q, w.q_prime, ("b",), w.w_prime, w.gamma), d2)
     )
+    # names foreign to the automaton are refused, not looked up
+    assert not verify_pt_witness(
+        PtVerdict(False, Triple("zz", w.q, w.q_prime, ("a",), w.w_prime, w.gamma), d2)
+    )
+    assert not verify_pt_witness(
+        PtVerdict(False, Triple(w.p, "nope", w.q_prime, w.w, w.w_prime, w.gamma), d2)
+    )
+    assert not verify_pt_witness(PtVerdict(False, NontrivialCycle(("p", "q", "p"), ("x", "a")), d2))
 
 
 def test_random_nfas_yield_replayable_verdicts():
@@ -224,3 +234,104 @@ def test_subset_construction_alone_can_be_rejected():
     with pytest.raises(NotMinimalError):
         is_pt_dfa(d)
     assert is_pt_nfa(a).is_pt
+
+
+def test_nfa_front_end_minimizes_once(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return minimize(d)
+
+    monkeypatch.setattr(piecewise, "minimize", counting)
+    v = is_pt_nfa(aut(STARTS_WITH_A))
+    assert len(calls) == 1 and not v.is_pt
+    # pt_bounded minimizes on its own side and hands the result straight over
+    assert pt_bounded(aut(STARTS_WITH_A), kmax=2).is_pt is False
+    assert len(calls) == 1
+
+
+def brute_triple(d: Dfa) -> Triple | None:
+    """The triple condition read straight off its definition: pairs in sorted
+    order, then every third state's forward reachability over gamma."""
+    states = sorted(d.states)
+    for i, q in enumerate(states):
+        for q_prime in states[i + 1 :]:
+            gamma = self_loop_letters(d, q) & self_loop_letters(d, q_prime)
+            if not gamma:
+                continue
+            for p in states:
+                if p in (q, q_prime):
+                    continue
+                seen = {p}
+                queue = [p]
+                for cur in queue:
+                    for sym in gamma:
+                        nxt = d.step(cur, sym)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            queue.append(nxt)
+                if q in seen and q_prime in seen:
+                    w = shortest_run(d, {p}, {q}, gamma=gamma)[0]
+                    w_prime = shortest_run(d, {p}, {q_prime}, gamma=gamma)[0]
+                    return Triple(p, q, q_prime, w, w_prime, gamma)
+    return None
+
+
+def random_partially_ordered_dfa(rng: random.Random, max_states: int = 8) -> Dfa:
+    # every transition stays put or moves to a later state, so no cycle
+    # passes through two states and only the triple condition can fail
+    n = rng.randint(1, max_states)
+    states = [f"s{i}" for i in range(n)]
+    letters = ("a", "b", "c")[: rng.randint(2, 3)]
+    trans = []
+    for i, q in enumerate(states):
+        for sym in letters:
+            trans.append((q, sym, states[i if rng.random() < 0.3 else rng.randrange(i, n)]))
+    final = [q for q in states if rng.random() < 0.5]
+    return Dfa.build(states, letters, trans, initial=["s0"], final=final)
+
+
+def test_triple_scan_matches_the_definition():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(400):
+        d = minimize(subset_construction(random_nfa(rng, max_states=8)))
+        expected = brute_triple(d)
+        assert condition2_triple(d) == expected
+        found += expected is not None
+    ordered_found = 0
+    for _ in range(1000):
+        d = minimize(random_partially_ordered_dfa(rng))
+        assert condition1_nontrivial_cycle(d) is None
+        expected = brute_triple(d)
+        assert condition2_triple(d) == expected
+        ordered_found += expected is not None
+    assert found > 30 and ordered_found > 50
+
+
+def chain_dfa(n: int, twin: bool) -> tuple[Dfa, tuple[str, ...], str]:
+    """State c_i advances on its own letter and self-loops on every other;
+    the last state accepts. The twin's letter z sends c_{n-2} to a rejecting
+    sink r, which makes c_0, c_{n-1}, r a triple over the full alphabet."""
+    chain, z = tuple(f"l{i:03d}" for i in range(n - 1)), "z"
+    states = [f"c{i:03d}" for i in range(n)]
+    trans = []
+    for i, q in enumerate(states):
+        trans += [(q, sym, states[i + 1] if j == i else q) for j, sym in enumerate(chain)]
+    alphabet = list(chain)
+    if twin:
+        alphabet.append(z)
+        trans += [(q, z, "r" if i == n - 2 else q) for i, q in enumerate(states)]
+        trans += [("r", sym, "r") for sym in alphabet]
+        states.append("r")
+    return Dfa.build(states, alphabet, trans, [states[0]], [f"c{n - 1:03d}"]), chain, z
+
+
+def test_chain_of_120_states_is_decided_without_the_quartic_scan():
+    plain, _, _ = chain_dfa(120, twin=False)
+    assert is_pt_dfa(plain).is_pt
+    d, chain, z = chain_dfa(120, twin=True)
+    v = is_pt_dfa(d)
+    assert not v.is_pt and verify_pt_witness(v)
+    assert v.witness == Triple("c000", "c119", "r", chain, chain[:-1] + (z,), d.alphabet)
