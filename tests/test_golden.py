@@ -3,10 +3,16 @@
 Each instance is dumped in a canonical text form (sets sorted, automata
 serialized) and hashed; ``golden_outputs.txt`` holds one ``<instance>
 <digest>`` line per instance, so a failure names the instances whose
-verdict, witness, tower or minimal DFA changed. Covered: the 300 seed-777
-pairs (``decide_separability``, its pattern witness and
-``towers_from_pattern(., 4)``) and the 1000 seed-4242 NFAs (``is_pt_nfa``:
-verdict, witness and minimal DFA).
+verdict, witness, tower or minimal DFA changed. Covered:
+
+- the 300 seed-777 pairs: ``decide_separability``, its pattern witness and
+  ``towers_from_pattern(., 4)``; and the bounded oracles on the same pairs,
+  ``dual_deepening(a, b, 6, 5, 500, 5000)``, ``bounded_tower_exists(a, b, h,
+  3000)`` for h = 1..4 and ``reachable_profiles(a, k, 400)`` for k = 0..3;
+- the 1000 seed-4242 NFAs: ``is_pt_nfa`` (verdict, witness and minimal DFA),
+  and ``pt_bounded(minimal DFA, 4, n)`` for n = 1000 and 50.
+
+An oracle that runs out of budget is dumped as its ``Inconclusive`` message.
 
 Regenerate, only after a deliberate output change, with
 ``PYTHONPATH=src python tests/test_golden.py > tests/golden_outputs.txt``.
@@ -21,6 +27,13 @@ from pathlib import Path
 
 from conftest import random_nfa
 from ptsep.automata import Nfa, serialize_automaton
+from ptsep.oracles import (
+    Inconclusive,
+    bounded_tower_exists,
+    dual_deepening,
+    pt_bounded,
+    reachable_profiles,
+)
 from ptsep.piecewise import is_pt_nfa
 from ptsep.separability import decide_separability, towers_from_pattern
 
@@ -41,18 +54,34 @@ def canonical(x) -> str:
     return repr(x)
 
 
+def bounded(search, *args):
+    """The search's result, or its Inconclusive message."""
+    try:
+        return search(*args)
+    except Inconclusive as exc:
+        return f"Inconclusive: {exc}"
+
+
 def instances():
     """(instance name, canonical output) for every covered instance."""
     rng = random.Random(777)
-    for i in range(300):
-        a = random_nfa(rng, max_states=5)
-        b = random_nfa(rng, max_states=5)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    for i, (a, b) in enumerate(pairs):
         v = decide_separability(a, b)
         tower = None if v.witness is None else towers_from_pattern(v.witness, 4)
         yield f"pair-{i}", canonical((v, tower))
+    for i, (a, b) in enumerate(pairs):
+        deepening = dual_deepening(a, b, 6, 5, 500, 5000)
+        towers = tuple(bounded(bounded_tower_exists, a, b, h, 3000) for h in range(1, 5))
+        profiles = tuple(bounded(reachable_profiles, a, k, 400) for k in range(4))
+        yield f"oracle-{i}", canonical((deepening, towers, profiles))
     rng = random.Random(4242)
-    for i in range(1000):
-        yield f"nfa-{i}", canonical(is_pt_nfa(random_nfa(rng, max_states=6)))
+    verdicts = [is_pt_nfa(random_nfa(rng, max_states=6)) for _ in range(1000)]
+    for i, verdict in enumerate(verdicts):
+        yield f"nfa-{i}", canonical(verdict)
+    for i, verdict in enumerate(verdicts):
+        d = verdict.minimal_dfa
+        yield f"pt-bounded-{i}", canonical((pt_bounded(d, 4, 1000), pt_bounded(d, 4, 50)))
 
 
 def digest(text: str) -> str:
