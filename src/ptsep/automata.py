@@ -117,6 +117,12 @@ class Nfa:
             out[src][sym] = tuple(sorted(dsts))
         return out
 
+    @cached_property
+    def _minimal(self) -> "Dfa":
+        """The minimal complete DFA of the language, built on first use; the
+        PT test, the oracles and :func:`equivalent` all read this one."""
+        return minimize(subset_construction(self))
+
     def successors(self, state: str, symbol: str) -> frozenset[str]:
         return frozenset(self._out.get(state, {}).get(symbol, ()))
 
@@ -285,7 +291,8 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
         raise AlphabetMismatchError("lift target must contain the current alphabet")
     lifted = Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
     if "_out" in a.__dict__:
-        # the new letters carry no transitions, so a built index still holds
+        # the new letters carry no transitions, so a built index still holds;
+        # the minimal DFA does not, since the new letters need a sink
         lifted.__dict__["_out"] = a._out
     return lifted
 
@@ -420,9 +427,7 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
     canonically renumbered minimal DFAs."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("equivalence requires a shared alphabet")
-    da = minimize(subset_construction(a))
-    db = minimize(subset_construction(b))
-    return _canonical_table(da) == _canonical_table(db)
+    return _canonical_table(a._minimal) == _canonical_table(b._minimal)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -588,13 +593,6 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
     return [Component(frozenset(c), frozenset(l)) for c, l in zip(comps, letters)]
 
 
-def component_of(decomposition: Iterable[Component], state: str) -> Component:
-    for comp in decomposition:
-        if state in comp.states:
-            return comp
-    raise AutomatonError(f"state {state!r} is in no component")
-
-
 def cycle_over_alphabet(
     a: Nfa, gamma: Iterable[str], require_initial_and_final: bool = False
 ) -> Component | None:
@@ -693,7 +691,9 @@ def closed_run_covering_word(
     embedded into powers of the other.
     """
     gamma = frozenset(gamma)
-    comp = component_of(scc_decomposition(a, gamma), anchor)
+    comp = next((c for c in scc_decomposition(a, gamma) if anchor in c.states), None)
+    if comp is None:
+        raise AutomatonError(f"state {anchor!r} is in no component")
     if comp.letters != gamma:
         raise AutomatonError("anchor's component does not carry exactly the requested letters")
     if not letters_of(target) <= gamma:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import piecewise
 from .automata import (
@@ -23,7 +22,6 @@ from .automata import (
     membership,
     minimize,
     product_intersection,
-    subset_construction,
 )
 
 DEFAULT_MAX_NODES = 200_000
@@ -70,33 +68,29 @@ def profile_k(w: Word, k: int) -> KProfile:
     return KProfile(k, pieces)
 
 
-def _compiled(d: Dfa, letters: Sequence[str]):
-    order = sorted(d.states)
-    index = {q: i for i, q in enumerate(order)}
-    delta = [[index[d.step(q, sym)] for sym in letters] for q in order]
-    accepting = frozenset(index[q] for q in d.final)
-    # states from which acceptance is still possible
-    alive = set(accepting)
-    changed = True
-    while changed:
-        changed = False
-        for i, row in enumerate(delta):
-            if i not in alive and any(t in alive for t in row):
-                alive.add(i)
-                changed = True
-    return delta, index[d.start], accepting, frozenset(alive)
+def _live(d: Dfa) -> frozenset[str]:
+    """The states of a minimal DFA from which acceptance is still possible.
+    Minimality merges every dead state into one, a rejecting state whose
+    every letter loops back to it; all other states are live."""
+    sinks = {q for q in d.states - d.final if all(t == (q,) for t in d._out[q].values())}
+    return d.states - sinks
 
 
-def _profile_configs(delta, start: int, allowed, letters: Sequence[str], k: int, max_nodes: int):
-    """Yield each (state, k-profile) configuration reachable from ``start``
-    in BFS order, entering only ``allowed`` states. Profiles stabilize, so
-    the space is finite; a new configuration beyond ``max_nodes`` raises
-    Inconclusive. A configuration's successors are explored only after it
-    is yielded, so a caller that stops early saves their work."""
+def _profile_configs(d: Dfa, allowed, k: int, max_nodes: int):
+    """Yield each (state, k-profile) configuration reachable from the start
+    of ``d`` in BFS order, entering only ``allowed`` states and trying
+    letters in sorted order. Profiles stabilize, so the space is finite; a
+    new configuration beyond ``max_nodes`` raises Inconclusive. A
+    configuration's successors are explored only after it is yielded, so a
+    caller that stops early saves their work."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    edges = [[(t, sym) for t, sym in zip(row, letters) if t in allowed] for row in delta]
-    root = (start, frozenset({EPSILON}))
+    letters = sorted(d.alphabet)
+    edges = {
+        q: [(t, sym) for sym in letters if (t := row[sym][0]) in allowed]
+        for q, row in d._out.items()
+    }
+    root = (d.start, frozenset({EPSILON}))
     seen = {root}
     queue = deque([root])
     extend_cache: dict[tuple[frozenset[Word], str], frozenset[Word]] = {}
@@ -119,17 +113,12 @@ def _profile_configs(delta, start: int, allowed, letters: Sequence[str], k: int,
 
 def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
     """The set of k-profiles of accepted words, by BFS over (state, profile)
-    configurations of the determinized minimal automaton, restricted to
-    states from which acceptance is still possible; exceeding ``max_nodes``
-    raises Inconclusive."""
-    d = minimize(subset_construction(a))
-    letters = sorted(d.alphabet)
-    delta, start, accepting, alive = _compiled(d, letters)
-    found = {
-        prof
-        for state, prof in _profile_configs(delta, start, alive, letters, k, max_nodes)
-        if state in accepting
-    }
+    configurations of the minimal DFA, restricted to states from which
+    acceptance is still possible; exceeding ``max_nodes`` raises
+    Inconclusive."""
+    d = a._minimal
+    configs = _profile_configs(d, _live(d), k, max_nodes)
+    found = {prof for state, prof in configs if state in d.final}
     return frozenset(KProfile(k, p) for p in found)
 
 
@@ -206,33 +195,24 @@ def bounded_tower_exists(
     """
     if h < 1:
         raise ValueError("tower height must be at least 1")
-    a, b = lift_pair(a, b)
-    letters = sorted(a.alphabet)
-    compiled = {
-        "A": _compiled(minimize(subset_construction(a)), letters),
-        "B": _compiled(minimize(subset_construction(b)), letters),
+    letters = sorted(a.alphabet | b.alphabet)
+    # each side's minimal DFA as (start, index, live states, final states);
+    # a letter outside its alphabet has no index entry, a dead move there
+    minimal = {"A": a._minimal, "B": b._minimal}
+    views = {side: (d.start, d._out, _live(d), d.final) for side, d in minimal.items()}
+    # level i (0-based) runs on the starting side's DFA when i is even
+    levels = {
+        first: [views[first if i % 2 == 0 else second] for i in range(h)]
+        for first, second in (("A", "B"), ("B", "A"))
     }
 
-    def machine(side: str, level: int):
-        # level is 0-based; w_1 belongs to the starting side
-        if level % 2 == 0:
-            return compiled[side]
-        return compiled["B" if side == "A" else "A"]
+    def accepting(side: str, vec: tuple[str, ...]) -> bool:
+        return all(q in view[3] for q, view in zip(vec, levels[side]))
 
-    def accepting(side: str, vec: tuple[int, ...]) -> bool:
-        return all(vec[i] in machine(side, i)[2] for i in range(h))
+    roots = [(side, tuple(view[0] for view in levels[side])) for side in ("A", "B")]
 
-    roots = []
-    for side in ("A", "B"):
-        vec = tuple(machine(side, i)[1] for i in range(h))
-        roots.append((side, vec))
-
-    parents: dict[tuple, tuple | None] = {}
-    queue: deque[tuple] = deque()
-    for node in roots:
-        if node not in parents:
-            parents[node] = None
-            queue.append(node)
+    parents: dict[tuple, tuple | None] = dict.fromkeys(roots)
+    queue: deque[tuple] = deque(roots)
 
     goal = None
     for node in roots:
@@ -243,16 +223,17 @@ def bounded_tower_exists(
     while queue and goal is None:
         node = queue.popleft()
         side, vec = node
-        for li, sym in enumerate(letters):
+        for sym in letters:
             for threshold in range(1, h + 1):
                 new_vec = list(vec)
                 dead = False
                 for i in range(threshold - 1, h):
-                    delta, _, _, alive = machine(side, i)
-                    new_vec[i] = delta[vec[i]][li]
-                    if new_vec[i] not in alive:
+                    _, out, live, _ = levels[side][i]
+                    target = out[vec[i]].get(sym)
+                    if target is None or target[0] not in live:
                         dead = True
                         break
+                    new_vec[i] = target[0]
                 if dead:
                     continue
                 child = (side, tuple(new_vec))
@@ -356,15 +337,12 @@ def pt_bounded(
     DFA independently produces a witness; otherwise the answer is None
     (inconclusive), as it is when a search overruns its budget.
     """
-    letters = sorted(d.alphabet)
-    delta, start, accepting, _ = _compiled(d, letters)
-    states = range(len(delta))
     for k in range(1, kmax + 1):
         # profiles met at rejecting states, then at accepting ones
         met: tuple[set[frozenset[Word]], set[frozenset[Word]]] = (set(), set())
         try:
-            for state, prof in _profile_configs(delta, start, states, letters, k, max_nodes):
-                final = state in accepting
+            for state, prof in _profile_configs(d, d.states, k, max_nodes):
+                final = state in d.final
                 met[final].add(prof)
                 if prof in met[not final]:
                     break

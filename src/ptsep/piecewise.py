@@ -24,7 +24,6 @@ from .automata import (
     scc_decomposition,
     self_loop_letters,
     shortest_run,
-    subset_construction,
 )
 
 
@@ -145,9 +144,9 @@ def is_pt_dfa(d: Dfa) -> PtVerdict:
 
 
 def is_pt_nfa(a: Nfa) -> PtVerdict:
-    """Decide piecewise testability of an arbitrary NFA by determinizing,
-    minimizing, and applying the structural DFA test."""
-    return _structural_verdict(minimize(subset_construction(a)))
+    """Decide piecewise testability of an arbitrary NFA by applying the
+    structural DFA test to its minimal DFA."""
+    return _structural_verdict(a._minimal)
 
 
 def verify_pt_witness(verdict: PtVerdict) -> bool:

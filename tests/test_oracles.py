@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import aut, brute_language, brute_profile, is_subsequence, random_nfa
+from ptsep import automata
 from ptsep.oracles import (
     DeepeningVerdict,
     Inconclusive,
@@ -21,6 +23,7 @@ from ptsep.oracles import (
     verify_separator,
     verify_tower,
 )
+from ptsep.separability import decide_separability
 
 AA_PLUS = """
 kind: dfa
@@ -284,6 +287,23 @@ def test_towers_verify_on_random_pairs():
     assert found > 20
 
 
+def test_tower_search_on_unlifted_operands_matches_the_lifted_pair():
+    # a letter missing from one operand is a dead move there, as the sink of
+    # the lifted automaton was
+    cases = [(single_word_nfa("aa", "a"), single_word_nfa("aba", "ab"))]
+    rng = random.Random(35)
+    while len(cases) < 30:
+        a = random_nfa(rng, max_states=4, letters=("a", "b", "c"))
+        b = random_nfa(rng, max_states=4, letters=("a", "b", "c"))
+        if a.alphabet != b.alphabet:
+            cases.append((a, b))
+    for a, b in cases:
+        wide_a, wide_b = automata.lift_pair(a, b)
+        for h in (1, 2, 3):
+            assert bounded_tower_exists(a, b, h) == bounded_tower_exists(wide_a, wide_b, h)
+            assert bounded_tower_exists(b, a, h) == bounded_tower_exists(wide_b, wide_a, h)
+
+
 def test_tower_absence_and_brute_force_agree():
     # for small finite languages compare against explicit enumeration
     rng = random.Random(34)
@@ -314,6 +334,28 @@ def test_dual_deepening_frozen_outcomes():
     assert dual_deepening(short, long, 6, 5) == DeepeningVerdict(
         separable=True, level=3, method="tower-absence"
     )
+
+
+def test_each_operand_is_determinized_once(monkeypatch):
+    # {a} over {a} against {aa} over {a, b}: the decision, its k = 2
+    # separator, the separator's check and every deepening probe read the
+    # two operands' cached minimal DFAs
+    calls = []
+    real = automata.subset_construction
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ptsep") and hasattr(module, "subset_construction"):
+            monkeypatch.setattr(module, "subset_construction", counting)
+    a, b = single_word_nfa("a", "a"), single_word_nfa("aa", "ab")
+    v = decide_separability(a, b, want_separator=True)
+    assert v.separable and v.separator.k == 2
+    assert verify_separator(v.separator, a, b)
+    assert dual_deepening(a, b, 6, 5) == DeepeningVerdict(separable=True, level=2, method="separator")
+    assert len(calls) == 2
 
 
 def test_dual_deepening_shortcuts_on_common_word():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import aut, brute_language, random_nfa
-from ptsep import piecewise
+from ptsep import automata, piecewise
 from ptsep.automata import Dfa, minimize, self_loop_letters, shortest_run, subset_construction
 from ptsep.oracles import pt_bounded
 from ptsep.piecewise import (
@@ -243,6 +243,8 @@ def test_nfa_front_end_minimizes_once(monkeypatch):
         calls.append(d)
         return minimize(d)
 
+    # the minimal DFA is built by the automaton's cached property
+    monkeypatch.setattr(automata, "minimize", counting)
     monkeypatch.setattr(piecewise, "minimize", counting)
     v = is_pt_nfa(aut(STARTS_WITH_A))
     assert len(calls) == 1 and not v.is_pt

@@ -288,6 +288,29 @@ def test_verify_pattern_rejects_tampering():
     assert not verify_pattern(bad2, a, b)
     # blockless pattern whose word is in neither language
     assert not verify_pattern(PatternWitness(((),), ()), a, b)
+    # an anchor naming a state neither automaton has
+    ghost = PumpAnchor("nowhere", blk.anchor.r_b, blk.gamma)
+    bad3 = PatternWitness(
+        w.connectors,
+        (BlockSegment(ghost, blk.a_entry, blk.a_cycle, blk.a_exit, blk.b_entry, blk.b_cycle, blk.b_exit),),
+    )
+    assert not verify_pattern(bad3, a, b)
+    # A = {aa, aaaa, aaaaaa} is finite, hence separable from B = aaa(aa)*. A
+    # forged block pumping "aa" at the anchor (0, 0) expands into words of
+    # both languages for pump counts 1 to 3, but no run of either side closes
+    # a cycle at state 0, so the witness proves nothing
+    a = aut(
+        "kind: nfa\nstates: 0 1 2 3 4 5 6\nalphabet: a\ninitial: 0\nfinal: 2 4 6\n"
+        + "".join(f"trans: {i} a {i + 1}\n" for i in range(6))
+    )
+    b = aut(
+        "kind: nfa\nstates: 0 1 2 3 4\nalphabet: a\ninitial: 0\nfinal: 3\n"
+        "trans: 0 a 1\ntrans: 1 a 2\ntrans: 2 a 3\ntrans: 3 a 4\ntrans: 4 a 3\n"
+    )
+    assert decide_separability(a, b).separable
+    anchor = PumpAnchor("0", "0", frozenset({"a"}))
+    forged = PatternWitness(((), ()), (BlockSegment(anchor, (), ("a", "a"), (), ("a",), ("a", "a"), ()),))
+    assert not verify_pattern(forged, a, b)
 
 
 def test_pattern_witness_shape_is_validated():
