@@ -8,12 +8,12 @@ running out raises :class:`Inconclusive`, never a wrong answer.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 from . import piecewise
 from .automata import (
-    EPSILON,
     Dfa,
     Nfa,
     Word,
@@ -52,20 +52,85 @@ class KProfile:
     pieces: frozenset[Word]
 
 
-def _extend(prof: frozenset[Word], sym: str, k: int) -> frozenset[Word]:
-    """The k-pieces of w·sym from those of w: every piece with room grows by sym."""
-    return prof | frozenset(p + (sym,) for p in prof if len(p) < k)
+class _Layout:
+    """Piece sets of length at most k over the sorted ``letters`` as
+    bitmasks, in the layout that :func:`_profile_configs` states. ``steps``
+    maps each letter to its (level mask, shift) pairs, one per level built so
+    far; the lists grow in place, so a holder of one sees new levels. A level
+    is built when a mask first reaches it, never all |letters|^<=k pieces at
+    once."""
+
+    def __init__(self, letters: tuple[str, ...], k: int):
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        self.letters = letters
+        self.k = k
+        self.steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
+        self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
+        self.levels = 0
+        # a mask longer than this needs another level: the first bit past the
+        # levels built so far, infinite once all k are built
+        self.end = 0 if k else math.inf
+
+    def cover(self, mask: int) -> None:
+        """Build the levels that ``mask`` reaches, so that :func:`_append`
+        can grow every piece of it that has room."""
+        while mask.bit_length() > self.end:
+            width = len(self.letters) ** self.levels
+            level = ((1 << width) - 1) << self.end
+            for c, sym in enumerate(self.letters):
+                self.steps[sym].append((level, width * (1 + c)))
+            self.levels += 1
+            self.end = self.end + width if self.levels < self.k else math.inf
+
+    def decode(self, mask: int) -> KProfile:
+        """The k-profile whose piece set ``mask`` is. Each set bit's piece is
+        computed the first time this layout meets the bit, so no table of
+        all pieces is built."""
+        bits = bin(mask)[:1:-1]
+        pieces = []
+        i = bits.find("1")
+        while i >= 0:
+            piece = self.pieces.get(i)
+            if piece is None:
+                piece = self.pieces[i] = self._piece(i)
+            pieces.append(piece)
+            i = bits.find("1", i + 1)
+        return KProfile(self.k, frozenset(pieces))
+
+    def _piece(self, bit: int) -> Word:
+        """The piece at ``bit``: first its level, then its letters as the
+        base-s digits of its offset there, least significant first."""
+        s = len(self.letters)
+        length, width = 0, 1
+        while bit >= width:
+            bit -= width
+            length, width = length + 1, width * s
+        piece = []
+        for _ in range(length):
+            bit, c = divmod(bit, s)
+            piece.append(self.letters[c])
+        return tuple(piece)
+
+
+def _append(mask: int, steps: list[tuple[int, int]]) -> int:
+    """The mask of w·sym from the mask of w, given the level steps of sym in
+    a layout that covers the mask."""
+    out = mask
+    for level, shift in steps:
+        out |= (mask & level) << shift
+    return out
 
 
 def profile_k(w: Word, k: int) -> KProfile:
     """Compute the k-profile incrementally: appending a letter extends every
     stored piece that still has room."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    pieces = frozenset({EPSILON})
+    layout = _Layout(tuple(sorted(set(w))), k)
+    mask = 1
     for sym in w:
-        pieces = _extend(pieces, sym, k)
-    return KProfile(k, pieces)
+        layout.cover(mask)
+        mask = _append(mask, layout.steps[sym])
+    return layout.decode(mask)
 
 
 def _live(d: Dfa) -> frozenset[str]:
@@ -76,34 +141,38 @@ def _live(d: Dfa) -> frozenset[str]:
     return d.states - sinks
 
 
-def _profile_configs(d: Dfa, allowed, k: int, max_nodes: int):
+def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Layout):
     """Yield each (state, k-profile) configuration reachable from the start
     of ``d`` in BFS order, entering only ``allowed`` states and trying
     letters in sorted order. Profiles stabilize, so the space is finite; a
     new configuration beyond ``max_nodes`` raises Inconclusive. A
     configuration's successors are explored only after it is yielded, so a
-    caller that stops early saves their work."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    letters = sorted(d.alphabet)
+    caller that stops early saves their work.
+
+    A profile is the bitmask of its piece set in ``layout``, whose letters
+    are sorted and include the alphabet of ``d``. With s letters, piece
+    p_0…p_{l-1} sits at bit off(l) + sum_j code(p_j)·s^j, where off(l) =
+    1 + s + … + s^(l-1) and code is the index among the letters; the empty
+    piece is bit 0. Appending the letter with code c moves every piece of
+    length l < k left by s^l·(1 + c), so one step is at most k shifts. Two
+    words get the same mask exactly when they have the same k-pieces, so
+    the search visits the configurations a search over piece sets would."""
+    steps = layout.steps
     edges = {
-        q: [(t, sym) for sym in letters if (t := row[sym][0]) in allowed]
+        q: [(t, steps[sym]) for sym in sorted(d.alphabet) if (t := row[sym][0]) in allowed]
         for q, row in d._out.items()
     }
-    root = (d.start, frozenset({EPSILON}))
+    root = (d.start, 1)
     seen = {root}
     queue = deque([root])
-    extend_cache: dict[tuple[frozenset[Word], str], frozenset[Word]] = {}
     while queue:
         node = queue.popleft()
         yield node
         state, prof = node
-        for target, sym in edges[state]:
-            key = (prof, sym)
-            new_prof = extend_cache.get(key)
-            if new_prof is None:
-                new_prof = extend_cache[key] = _extend(prof, sym, k)
-            child = (target, new_prof)
+        if prof.bit_length() > layout.end:
+            layout.cover(prof)
+        for target, steps in edges[state]:
+            child = (target, _append(prof, steps))
             if child not in seen:
                 if len(seen) >= max_nodes:
                     raise Inconclusive(f"profile search exceeded {max_nodes} configurations")
@@ -111,15 +180,23 @@ def _profile_configs(d: Dfa, allowed, k: int, max_nodes: int):
                 queue.append(child)
 
 
+def _accepted_masks(a: Nfa, max_nodes: int, layout: _Layout) -> set[int]:
+    """The piece bitmasks of the words ``a`` accepts, by BFS over the
+    configurations of its minimal DFA restricted to states from which
+    acceptance is still possible."""
+    d = a._minimal
+    configs = _profile_configs(d, _live(d), max_nodes, layout)
+    return {prof for state, prof in configs if state in d.final}
+
+
 def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
     """The set of k-profiles of accepted words, by BFS over (state, profile)
     configurations of the minimal DFA, restricted to states from which
     acceptance is still possible; exceeding ``max_nodes`` raises
     Inconclusive."""
-    d = a._minimal
-    configs = _profile_configs(d, _live(d), k, max_nodes)
-    found = {prof for state, prof in configs if state in d.final}
-    return frozenset(KProfile(k, p) for p in found)
+    layout = _Layout(tuple(sorted(a.alphabet)), k)
+    masks = _accepted_masks(a, max_nodes, layout)
+    return frozenset(map(layout.decode, masks))
 
 
 @dataclass(frozen=True)
@@ -138,12 +215,14 @@ def separable_by_kpt(
 ) -> KptSeparator | None:
     """A k-piecewise-testable separator exists iff the two languages realize
     disjoint sets of k-profiles; the separator (union of the profile classes
-    of L(a)) is returned as those accepted profiles."""
-    profs_a = reachable_profiles(a, k, max_nodes)
-    profs_b = reachable_profiles(b, k, max_nodes)
-    if profs_a & profs_b:
+    of L(a)) is returned as those accepted profiles. Both sides are searched
+    over the layout of the union alphabet, so their bitmasks compare."""
+    layout = _Layout(tuple(sorted(a.alphabet | b.alphabet)), k)
+    masks_a = _accepted_masks(a, max_nodes, layout)
+    masks_b = _accepted_masks(b, max_nodes, layout)
+    if masks_a & masks_b:
         return None
-    return KptSeparator(k=k, accepted_profiles=profs_a, side="A")
+    return KptSeparator(k=k, accepted_profiles=frozenset(map(layout.decode, masks_a)), side="A")
 
 
 def verify_separator(
@@ -337,11 +416,13 @@ def pt_bounded(
     DFA independently produces a witness; otherwise the answer is None
     (inconclusive), as it is when a search overruns its budget.
     """
+    letters = tuple(sorted(d.alphabet))
     for k in range(1, kmax + 1):
+        layout = _Layout(letters, k)
         # profiles met at rejecting states, then at accepting ones
-        met: tuple[set[frozenset[Word]], set[frozenset[Word]]] = (set(), set())
+        met: tuple[set[int], set[int]] = (set(), set())
         try:
-            for state, prof in _profile_configs(d, d.states, k, max_nodes):
+            for state, prof in _profile_configs(d, d.states, max_nodes, layout):
                 final = state in d.final
                 met[final].add(prof)
                 if prof in met[not final]:

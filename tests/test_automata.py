@@ -6,6 +6,7 @@ from conftest import (
     aut,
     brute_accepts,
     brute_language,
+    cycle_over_alphabet,
     has_exact_cycle,
     is_subsequence,
     nonempty_subsets,
@@ -19,7 +20,6 @@ from ptsep.automata import (
     Nfa,
     ParseError,
     closed_run_covering_word,
-    cycle_over_alphabet,
     equivalent,
     language_empty,
     letters_of,

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from conftest import brute_language
+from conftest import brute_language, cycle_over_alphabet
 from ptsep.automata import (
-    cycle_over_alphabet,
     language_empty,
     lift_alphabet,
     membership,

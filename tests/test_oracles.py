@@ -6,6 +6,7 @@ import pytest
 
 from conftest import aut, brute_language, brute_profile, is_subsequence, random_nfa
 from ptsep import automata
+from ptsep.automata import Nfa
 from ptsep.oracles import (
     DeepeningVerdict,
     Inconclusive,
@@ -22,6 +23,8 @@ from ptsep.oracles import (
     subsequence,
     verify_separator,
     verify_tower,
+    _append,
+    _Layout,
 )
 from ptsep.separability import decide_separability
 
@@ -152,6 +155,60 @@ def test_profile_k_boundaries():
         reachable_profiles(aut(AA_PLUS), -1)
 
 
+def fold(w, layout):
+    """The piece bitmask of w in ``layout``, one letter at a time."""
+    mask = 1
+    for sym in w:
+        layout.cover(mask)
+        mask = _append(mask, layout.steps[sym])
+    return mask
+
+
+def test_layout_masks_decode_to_brute_profiles():
+    # over the word's own letters (one letter gives the unary layout, the
+    # empty word the empty one) and over a strict superset, as
+    # separable_by_kpt lays out both sides over their union
+    rng = random.Random(33)
+    for letters in ("a", "ab", "abc"):
+        for _ in range(40):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7)))
+            own = tuple(sorted(set(w)))
+            wider = tuple(sorted(set(w) | set(rng.sample("abcxyz", rng.randint(1, 3)))))
+            for k in range(6):
+                for layout in (_Layout(own, k), _Layout(wider, k)):
+                    assert layout.decode(fold(w, layout)) == KProfile(k, brute_profile(w, k))
+
+
+def test_layout_masks_are_the_piece_sets():
+    # equal masks exactly when the k-pieces agree, over one shared layout
+    words = [tuple(w) for w in ("", "a", "b", "ab", "ba", "aab", "aba", "abab", "bbaa")]
+    for k in range(4):
+        layout = _Layout(("a", "b"), k)
+        for u, v in itertools.combinations(words, 2):
+            same = brute_profile(u, k) == brute_profile(v, k)
+            assert (fold(u, layout) == fold(v, layout)) == same
+
+
+def test_profiles_over_the_empty_alphabet():
+    eps = Nfa.build(states=["q"], alphabet=[], transitions=[], initial=["q"], final=["q"])
+    assert reachable_profiles(eps, 3) == frozenset({KProfile(3, frozenset({()}))})
+    assert _Layout((), 3).decode(1) == KProfile(3, frozenset({()}))
+
+
+def test_reachable_profiles_at_large_k_builds_only_the_levels_met():
+    # {abc, ca} at k = 12: six configurations, and pieces of length <= 3; a
+    # table of all 3^<=12 pieces would be about 800 000 entries
+    abc_ca = aut(
+        "kind: nfa\nstates: p0 p1 p2 p3 r1 r2\nalphabet: a b c\ninitial: p0\n"
+        "final: p3 r2\ntrans: p0 a p1\ntrans: p1 b p2\ntrans: p2 c p3\n"
+        "trans: p0 c r1\ntrans: r1 a r2\n"
+    )
+    profs = reachable_profiles(abc_ca, 12, max_nodes=20)
+    assert profs == frozenset(KProfile(12, brute_profile(tuple(w), 12)) for w in ("abc", "ca"))
+    # level masks for all 3^<100 pieces could not even be allocated
+    assert profile_k(tuple("cab"), 100) == KProfile(100, brute_profile(tuple("cab"), 100))
+
+
 def test_reachable_profiles_frozen_value():
     assert reachable_profiles(aut(AA_PLUS), 1) == frozenset(
         {KProfile(1, frozenset({(), ("a",)}))}
@@ -190,6 +247,18 @@ def test_kpt_separator_for_disjoint_unary_languages():
         k=1, accepted_profiles=frozenset({KProfile(1, frozenset({(), ("a",)}))}), side="A"
     )
     assert verify_separator(sep, a, b)
+    # {a} over {a} against {b} over {b}: laid out each over its own alphabet,
+    # "a" and "b" would both be the mask 0b11 and look like one profile
+    just_a, just_b = (
+        Nfa.build(states=["x", "y"], alphabet=[sym], transitions=[("x", sym, "y")],
+                  initial=["x"], final=["y"])
+        for sym in "ab"
+    )
+    sep = separable_by_kpt(just_a, just_b, 1)
+    assert sep == KptSeparator(
+        k=1, accepted_profiles=frozenset({KProfile(1, frozenset({(), ("a",)}))}), side="A"
+    )
+    assert verify_separator(sep, just_a, just_b)
 
 
 def test_separator_side_b_verifies_after_swap():
