@@ -593,6 +593,28 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
     return [Component(frozenset(c), frozenset(l)) for c, l in zip(comps, letters)]
 
 
+def cycle_over_alphabet(
+    a: Nfa, gamma: Iterable[str], require_initial_and_final: bool = False
+) -> Component | None:
+    """A component of the ``gamma``-restricted graph whose internal letters are
+    exactly ``gamma``, or None. Such a component exists iff some state lies on
+    a cycle using every letter of ``gamma`` and no others (cycles inside one
+    component compose). With the flag set, the component must also contain an
+    initial and a final state."""
+    gamma = frozenset(gamma)
+    if not gamma:
+        raise AutomatonError("gamma must be nonempty")
+    for comp in scc_decomposition(a, gamma):
+        if comp.letters != gamma:
+            continue
+        if require_initial_and_final and not (
+            comp.states & a.initial and comp.states & a.final
+        ):
+            continue
+        return comp
+    return None
+
+
 def self_loop_letters(d: Nfa, q: str) -> frozenset[str]:
     """Symbols under which ``q`` has a transition back to itself."""
     row = d._out.get(q)

@@ -8,9 +8,9 @@ running out raises :class:`Inconclusive`, never a wrong answer.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import piecewise
 from .automata import (
@@ -52,36 +52,46 @@ class KProfile:
     pieces: frozenset[Word]
 
 
-class _Layout:
-    """Piece sets of length at most k over the sorted ``letters`` as
-    bitmasks, in the layout that :func:`_profile_configs` states. ``steps``
-    maps each letter to its (level mask, shift) pairs, one per level built so
-    far; the lists grow in place, so a holder of one sees new levels. A level
-    is built when a mask first reaches it, never all |letters|^<=k pieces at
-    once."""
+# the widest piece bitmask a layout may use; past it, a profile is kept as a
+# frozenset of pieces, whose size follows the pieces that occur
+_MASK_MAX_BITS = 1 << 12
+
+
+# pt_bounded asks for the same few layouts for every DFA it checks
+@lru_cache(maxsize=64)
+def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
+    """The representation of k-profiles over the sorted ``letters``:
+    bitmasks when all pieces of length at most k fit in _MASK_MAX_BITS bits,
+    so that a mask costs a bounded amount whatever pieces it holds, and
+    frozensets of pieces otherwise (many letters at a large k)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    width = bits = 1
+    for _ in range(k if letters else 0):
+        width *= len(letters)
+        bits += width
+        if bits > _MASK_MAX_BITS:
+            return _PieceSets(letters, k)
+    return _Bitmasks(letters, k)
+
+
+class _Bitmasks:
+    """Piece sets as bitmasks, in the layout that :func:`_profile_configs`
+    states. ``grow`` maps each letter to the function that appends it."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
-        if k < 0:
-            raise ValueError("k must be nonnegative")
         self.letters = letters
         self.k = k
-        self.steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
+        self.root = 1
+        steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
+        offset, width = 0, 1
+        for _ in range(k if letters else 0):
+            level = ((1 << width) - 1) << offset
+            for c, sym in enumerate(letters):
+                steps[sym].append((level, width * (1 + c)))
+            offset, width = offset + width, width * len(letters)
+        self.grow = {sym: _shifter(steps[sym]) for sym in letters}
         self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
-        self.levels = 0
-        # a mask longer than this needs another level: the first bit past the
-        # levels built so far, infinite once all k are built
-        self.end = 0 if k else math.inf
-
-    def cover(self, mask: int) -> None:
-        """Build the levels that ``mask`` reaches, so that :func:`_append`
-        can grow every piece of it that has room."""
-        while mask.bit_length() > self.end:
-            width = len(self.letters) ** self.levels
-            level = ((1 << width) - 1) << self.end
-            for c, sym in enumerate(self.letters):
-                self.steps[sym].append((level, width * (1 + c)))
-            self.levels += 1
-            self.end = self.end + width if self.levels < self.k else math.inf
 
     def decode(self, mask: int) -> KProfile:
         """The k-profile whose piece set ``mask`` is. Each set bit's piece is
@@ -113,24 +123,50 @@ class _Layout:
         return tuple(piece)
 
 
-def _append(mask: int, steps: list[tuple[int, int]]) -> int:
-    """The mask of w·sym from the mask of w, given the level steps of sym in
-    a layout that covers the mask."""
-    out = mask
-    for level, shift in steps:
-        out |= (mask & level) << shift
-    return out
+def _shifter(steps: list[tuple[int, int]]):
+    """The function that appends one letter to a mask, given the letter's
+    (level mask, shift) pairs."""
+
+    def grow(mask: int) -> int:
+        out = mask
+        for level, shift in steps:
+            out |= (mask & level) << shift
+        return out
+
+    return grow
+
+
+class _PieceSets:
+    """Piece sets as frozensets of pieces, for layouts too wide for a
+    bitmask; the same interface as :class:`_Bitmasks`."""
+
+    def __init__(self, letters: tuple[str, ...], k: int):
+        self.k = k
+        self.root = frozenset({()})
+        self.grow = {sym: _extender(sym, k) for sym in letters}
+
+    def decode(self, prof: frozenset[Word]) -> KProfile:
+        return KProfile(self.k, prof)
+
+
+def _extender(sym: str, k: int):
+    """The function that appends ``sym`` to a piece set: every piece with
+    room grows by it."""
+
+    def grow(prof: frozenset[Word]) -> frozenset[Word]:
+        return prof | {p + (sym,) for p in prof if len(p) < k}
+
+    return grow
 
 
 def profile_k(w: Word, k: int) -> KProfile:
     """Compute the k-profile incrementally: appending a letter extends every
     stored piece that still has room."""
-    layout = _Layout(tuple(sorted(set(w))), k)
-    mask = 1
+    layout = _layout(tuple(sorted(set(w))), k)
+    prof = layout.root
     for sym in w:
-        layout.cover(mask)
-        mask = _append(mask, layout.steps[sym])
-    return layout.decode(mask)
+        prof = layout.grow[sym](prof)
+    return layout.decode(prof)
 
 
 def _live(d: Dfa) -> frozenset[str]:
@@ -141,7 +177,7 @@ def _live(d: Dfa) -> frozenset[str]:
     return d.states - sinks
 
 
-def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Layout):
+def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
     """Yield each (state, k-profile) configuration reachable from the start
     of ``d`` in BFS order, entering only ``allowed`` states and trying
     letters in sorted order. Profiles stabilize, so the space is finite; a
@@ -156,23 +192,23 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Layout):
     piece is bit 0. Appending the letter with code c moves every piece of
     length l < k left by s^l·(1 + c), so one step is at most k shifts. Two
     words get the same mask exactly when they have the same k-pieces, so
-    the search visits the configurations a search over piece sets would."""
-    steps = layout.steps
+    the search visits the configurations a search over piece sets would.
+    Where the masks would pass _MASK_MAX_BITS bits, the profile is the
+    piece set itself (:func:`_layout`), and the search is the same."""
+    grow = layout.grow
     edges = {
-        q: [(t, steps[sym]) for sym in sorted(d.alphabet) if (t := row[sym][0]) in allowed]
+        q: [(t, grow[sym]) for sym in sorted(d.alphabet) if (t := row[sym][0]) in allowed]
         for q, row in d._out.items()
     }
-    root = (d.start, 1)
+    root = (d.start, layout.root)
     seen = {root}
     queue = deque([root])
     while queue:
         node = queue.popleft()
         yield node
         state, prof = node
-        if prof.bit_length() > layout.end:
-            layout.cover(prof)
-        for target, steps in edges[state]:
-            child = (target, _append(prof, steps))
+        for target, step in edges[state]:
+            child = (target, step(prof))
             if child not in seen:
                 if len(seen) >= max_nodes:
                     raise Inconclusive(f"profile search exceeded {max_nodes} configurations")
@@ -180,8 +216,8 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Layout):
                 queue.append(child)
 
 
-def _accepted_masks(a: Nfa, max_nodes: int, layout: _Layout) -> set[int]:
-    """The piece bitmasks of the words ``a`` accepts, by BFS over the
+def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> set:
+    """The profiles, in ``layout``, of the words ``a`` accepts, by BFS over the
     configurations of its minimal DFA restricted to states from which
     acceptance is still possible."""
     d = a._minimal
@@ -194,7 +230,7 @@ def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> fr
     configurations of the minimal DFA, restricted to states from which
     acceptance is still possible; exceeding ``max_nodes`` raises
     Inconclusive."""
-    layout = _Layout(tuple(sorted(a.alphabet)), k)
+    layout = _layout(tuple(sorted(a.alphabet)), k)
     masks = _accepted_masks(a, max_nodes, layout)
     return frozenset(map(layout.decode, masks))
 
@@ -216,8 +252,8 @@ def separable_by_kpt(
     """A k-piecewise-testable separator exists iff the two languages realize
     disjoint sets of k-profiles; the separator (union of the profile classes
     of L(a)) is returned as those accepted profiles. Both sides are searched
-    over the layout of the union alphabet, so their bitmasks compare."""
-    layout = _Layout(tuple(sorted(a.alphabet | b.alphabet)), k)
+    over the layout of the union alphabet, so their profiles compare."""
+    layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), k)
     masks_a = _accepted_masks(a, max_nodes, layout)
     masks_b = _accepted_masks(b, max_nodes, layout)
     if masks_a & masks_b:
@@ -418,9 +454,9 @@ def pt_bounded(
     """
     letters = tuple(sorted(d.alphabet))
     for k in range(1, kmax + 1):
-        layout = _Layout(letters, k)
+        layout = _layout(letters, k)
         # profiles met at rejecting states, then at accepting ones
-        met: tuple[set[int], set[int]] = (set(), set())
+        met: tuple[set, set] = (set(), set())
         try:
             for state, prof in _profile_configs(d, d.states, max_nodes, layout):
                 final = state in d.final

@@ -2,9 +2,7 @@
 
 Everything here recomputes answers from first principles (word enumeration,
 product searches over letter subsets) instead of calling the code under test,
-so a bug in the library cannot hide itself. The one exception is
-``cycle_over_alphabet``, a test-only query built on the library's SCCs and
-checked against ``has_exact_cycle`` in ``test_automata.py``.
+so a bug in the library cannot hide itself.
 """
 
 from __future__ import annotations
@@ -13,16 +11,8 @@ import itertools
 import random
 import textwrap
 from collections import deque
-from typing import Iterable
 
-from ptsep.automata import (
-    AutomatonError,
-    Component,
-    Nfa,
-    Word,
-    parse_automaton,
-    scc_decomposition,
-)
+from ptsep.automata import Nfa, Word, parse_automaton
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -163,25 +153,3 @@ def check_tower(words, start_side: str, a: Nfa, b: Nfa) -> bool:
         if not brute_accepts(wide_a if on_a else wide_b, w):
             return False
     return all(is_subsequence(u, w) for u, w in zip(words, words[1:]))
-
-
-def cycle_over_alphabet(
-    a: Nfa, gamma: Iterable[str], require_initial_and_final: bool = False
-) -> Component | None:
-    """A component of the ``gamma``-restricted graph whose internal letters are
-    exactly ``gamma``, or None. Such a component exists iff some state lies on
-    a cycle using every letter of ``gamma`` and no others (cycles inside one
-    component compose). With the flag set, the component must also contain an
-    initial and a final state."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise AutomatonError("gamma must be nonempty")
-    for comp in scc_decomposition(a, gamma):
-        if comp.letters != gamma:
-            continue
-        if require_initial_and_final and not (
-            comp.states & a.initial and comp.states & a.final
-        ):
-            continue
-        return comp
-    return None

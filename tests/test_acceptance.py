@@ -13,8 +13,9 @@ import time
 
 import pytest
 
-from conftest import aut, brute_language, check_tower, cycle_over_alphabet, random_nfa
+from conftest import aut, brute_language, check_tower, random_nfa
 from ptsep.automata import (
+    cycle_over_alphabet,
     language_empty,
     minimize,
     parse_automaton,

@@ -6,7 +6,6 @@ from conftest import (
     aut,
     brute_accepts,
     brute_language,
-    cycle_over_alphabet,
     has_exact_cycle,
     is_subsequence,
     nonempty_subsets,
@@ -20,6 +19,7 @@ from ptsep.automata import (
     Nfa,
     ParseError,
     closed_run_covering_word,
+    cycle_over_alphabet,
     equivalent,
     language_empty,
     letters_of,

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conftest import brute_language, cycle_over_alphabet
+from conftest import brute_language
 from ptsep.automata import (
+    cycle_over_alphabet,
     language_empty,
     lift_alphabet,
     membership,

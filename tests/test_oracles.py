@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,8 +24,10 @@ from ptsep.oracles import (
     subsequence,
     verify_separator,
     verify_tower,
-    _append,
-    _Layout,
+    _MASK_MAX_BITS,
+    _Bitmasks,
+    _layout,
+    _PieceSets,
 )
 from ptsep.separability import decide_separability
 
@@ -156,12 +159,11 @@ def test_profile_k_boundaries():
 
 
 def fold(w, layout):
-    """The piece bitmask of w in ``layout``, one letter at a time."""
-    mask = 1
+    """The profile of w in ``layout``, one letter at a time."""
+    prof = layout.root
     for sym in w:
-        layout.cover(mask)
-        mask = _append(mask, layout.steps[sym])
-    return mask
+        prof = layout.grow[sym](prof)
+    return prof
 
 
 def test_layout_masks_decode_to_brute_profiles():
@@ -175,7 +177,7 @@ def test_layout_masks_decode_to_brute_profiles():
             own = tuple(sorted(set(w)))
             wider = tuple(sorted(set(w) | set(rng.sample("abcxyz", rng.randint(1, 3)))))
             for k in range(6):
-                for layout in (_Layout(own, k), _Layout(wider, k)):
+                for layout in (_Bitmasks(own, k), _Bitmasks(wider, k)):
                     assert layout.decode(fold(w, layout)) == KProfile(k, brute_profile(w, k))
 
 
@@ -183,7 +185,7 @@ def test_layout_masks_are_the_piece_sets():
     # equal masks exactly when the k-pieces agree, over one shared layout
     words = [tuple(w) for w in ("", "a", "b", "ab", "ba", "aab", "aba", "abab", "bbaa")]
     for k in range(4):
-        layout = _Layout(("a", "b"), k)
+        layout = _Bitmasks(("a", "b"), k)
         for u, v in itertools.combinations(words, 2):
             same = brute_profile(u, k) == brute_profile(v, k)
             assert (fold(u, layout) == fold(v, layout)) == same
@@ -192,10 +194,10 @@ def test_layout_masks_are_the_piece_sets():
 def test_profiles_over_the_empty_alphabet():
     eps = Nfa.build(states=["q"], alphabet=[], transitions=[], initial=["q"], final=["q"])
     assert reachable_profiles(eps, 3) == frozenset({KProfile(3, frozenset({()}))})
-    assert _Layout((), 3).decode(1) == KProfile(3, frozenset({()}))
+    assert _Bitmasks((), 3).decode(1) == KProfile(3, frozenset({()}))
 
 
-def test_reachable_profiles_at_large_k_builds_only_the_levels_met():
+def test_reachable_profiles_at_large_k_builds_no_piece_table():
     # {abc, ca} at k = 12: six configurations, and pieces of length <= 3; a
     # table of all 3^<=12 pieces would be about 800 000 entries
     abc_ca = aut(
@@ -205,8 +207,52 @@ def test_reachable_profiles_at_large_k_builds_only_the_levels_met():
     )
     profs = reachable_profiles(abc_ca, 12, max_nodes=20)
     assert profs == frozenset(KProfile(12, brute_profile(tuple(w), 12)) for w in ("abc", "ca"))
-    # level masks for all 3^<100 pieces could not even be allocated
+    # a bitmask of all 3^<=100 pieces could not even be allocated
     assert profile_k(tuple("cab"), 100) == KProfile(100, brute_profile(tuple("cab"), 100))
+
+
+def test_layout_keeps_bitmasks_only_while_they_fit():
+    # bitmasks exactly when all 1 + s + ... + s^k pieces fit the bound; past
+    # it, piece sets, which give the same profiles
+    rng = random.Random(34)
+    for s in range(8):
+        letters = tuple("abcdefgh"[:s])
+        for k in range(15):
+            fits = sum(s**level for level in range(k + 1)) <= _MASK_MAX_BITS
+            layout = _layout(letters, k)
+            assert isinstance(layout, _Bitmasks if fits else _PieceSets)
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 7))) if s else ()
+            want = KProfile(k, brute_profile(w, k))
+            assert layout.decode(fold(w, layout)) == want
+            assert _PieceSets(letters, k).decode(fold(w, _PieceSets(letters, k))) == want
+
+
+def test_many_letters_at_large_k_stay_within_memory():
+    # a bitmask over 12 letters at k = 12 would reserve 12^11 bits for its
+    # top level alone, and one over 30 letters at k = 6 30^6 bits; the
+    # budgeted searches must end in a verdict or Inconclusive instead
+    def chain(word, alphabet):
+        states = [f"s{i}" for i in range(len(word) + 1)]
+        return Nfa.build(
+            states=states, alphabet=alphabet, initial=[states[0]], final=[states[-1]],
+            transitions=[(states[i], sym, states[i + 1]) for i, sym in enumerate(word)],
+        )
+
+    letters = [f"x{i:02}" for i in range(30)]
+    a, b = chain(letters[:12], letters), chain(letters[12:24], letters)
+    tracemalloc.start()
+    try:
+        w = tuple("abcdefghijkl")
+        assert profile_k(w, 12) == KProfile(12, brute_profile(w, 12))
+        sep = separable_by_kpt(a, b, 6, max_nodes=20)
+        assert sep is not None and verify_separator(sep, a, b, max_nodes=20)
+        with pytest.raises(Inconclusive):
+            separable_by_kpt(a, b, 6, max_nodes=5)
+        assert dual_deepening(a, b, 6, 1, max_nodes=5) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_reachable_profiles_frozen_value():
