@@ -94,7 +94,7 @@ class Nfa:
         return cls(
             frozenset(states),
             frozenset(alphabet),
-            frozenset((s, a, d) for s, a, d in transitions),
+            frozenset(map(tuple, transitions)),
             frozenset(initial),
             frozenset(final),
         )
@@ -290,10 +290,9 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
     if not a.alphabet <= alphabet:
         raise AlphabetMismatchError("lift target must contain the current alphabet")
     lifted = Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
-    if "_out" in a.__dict__:
-        # the new letters carry no transitions, so a built index still holds;
-        # the minimal DFA does not, since the new letters need a sink
-        lifted.__dict__["_out"] = a._out
+    # the new letters carry no transitions, so both share one index; the
+    # minimal DFA is not shared, since the new letters need a sink
+    lifted.__dict__["_out"] = a._out
     return lifted
 
 
@@ -362,6 +361,8 @@ def minimize(d: Dfa) -> Dfa:
     Unreachable states are dropped and equivalent states merged by partition
     refinement; each merged class is named after its lexicographically least
     member. An empty language collapses to a single non-accepting sink state.
+    When every state of ``d`` is reachable and no two are equivalent, the
+    result would equal ``d`` field by field, and ``d`` itself is returned.
     """
     letters = sorted(d.alphabet)
     index = d._out
@@ -391,6 +392,8 @@ def minimize(d: Dfa) -> Dfa:
         if refined == block:
             break
         block = refined
+    if len(ids) == len(seen) == len(d.states):
+        return d
 
     representative: dict[int, str] = {}
     for q in ordered:
@@ -434,26 +437,40 @@ def trim(a: Nfa) -> Nfa:
     """Keep exactly the states that lie on some accepting path (reachable from
     an initial state and co-reachable to a final state). The language is
     unchanged; the result may have zero states and is a plain Nfa even when
-    the input was complete."""
+    the input was complete. The result's transition index is the input's
+    rows of the kept states, filtered to the kept targets."""
     index = a._out
-    forward = set(a.initial)
-    queue = list(forward)
+    # predecessor lists of the forward-reachable states, read off their rows,
+    # so no transition that leaves an unreachable state is looked at
+    pred: dict[str, list[str]] = {q: [] for q in a.initial}
+    queue = list(pred)
     for q in queue:
-        new = set().union(*index[q].values()) - forward
-        forward |= new
-        queue.extend(new)
-    pred: dict[str, list[str]] = {q: [] for q in a.states}
-    for src, _, dst in a.transitions:
-        pred[dst].append(src)
-    backward = set(a.final)
-    queue = list(backward)
+        for t in set().union(*index[q].values()):
+            if t not in pred:
+                pred[t] = []
+                queue.append(t)
+            pred[t].append(q)
+    keep = {q for q in a.final if q in pred}
+    queue = list(keep)
     for q in queue:
-        new = set(pred[q]) - backward
-        backward |= new
-        queue.extend(new)
-    keep = frozenset(forward & backward)
-    triples = {(s, y, d) for (s, y, d) in a.transitions if s in keep and d in keep}
-    return Nfa(keep, a.alphabet, frozenset(triples), a.initial & keep, a.final & keep)
+        for p in pred[q]:
+            if p not in keep:
+                keep.add(p)
+                queue.append(p)
+    out = {
+        q: {
+            sym: dsts if keep.issuperset(dsts) else tuple([t for t in dsts if t in keep])
+            for sym, dsts in index[q].items()
+            if not keep.isdisjoint(dsts)
+        }
+        for q in keep
+    }
+    triples = frozenset(
+        (q, sym, t) for q, row in out.items() for sym, dsts in row.items() for t in dsts
+    )
+    trimmed = Nfa(frozenset(keep), a.alphabet, triples, a.initial & keep, a.final & keep)
+    trimmed.__dict__["_out"] = out
+    return trimmed
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:

@@ -157,6 +157,20 @@ def _complete(
     return Dfa.build(all_states, alphabet, transitions, {initial}, final)
 
 
+def _certificate_table(c: Circuit) -> tuple[set[str], dict[tuple[str, str], str]]:
+    """The certificate walker's states and its partial transition table, which
+    both walkers complete with a sink."""
+    states = {"s", "T", "F"} | {str(i) for i in range(1, c.n + 1) if c.gates[i - 1].kind != "const"}
+    table: dict[tuple[str, str], str] = {("s", "x"): _operand_target(c, c.n), ("T", "y"): "s"}
+    for i in range(1, c.n + 1):
+        g = c.gates[i - 1]
+        if g.kind == "const":
+            continue
+        table[(str(i), f"a{i}")] = _operand_target(c, g.left)
+        table[(str(i), f"b{i}")] = _operand_target(c, g.right)
+    return states, table
+
+
 def build_certificate_dfa(c: Circuit) -> Dfa:
     """The certificate walker.
 
@@ -166,16 +180,8 @@ def build_certificate_dfa(c: Circuit) -> Dfa:
     returns to s, so accepted words chain certificate rounds; both T and F
     accept, as reaching F just means a round bottomed out at a false constant.
     """
-    alphabet = circuit_alphabet(c)
-    states = {"s", "T", "F"} | {str(i) for i in range(1, c.n + 1) if c.gates[i - 1].kind != "const"}
-    table: dict[tuple[str, str], str] = {("s", "x"): _operand_target(c, c.n), ("T", "y"): "s"}
-    for i in range(1, c.n + 1):
-        g = c.gates[i - 1]
-        if g.kind == "const":
-            continue
-        table[(str(i), f"a{i}")] = _operand_target(c, g.left)
-        table[(str(i), f"b{i}")] = _operand_target(c, g.right)
-    return _complete(states, alphabet, table, "s", {"T", "F"})
+    states, table = _certificate_table(c)
+    return _complete(states, circuit_alphabet(c), table, "s", {"T", "F"})
 
 
 def build_round_dfa(c: Circuit) -> Dfa:
@@ -215,13 +221,8 @@ def build_padded_certificate_dfa(c: Circuit) -> Dfa:
     not minimal, which would break the guarantee callers rely on.
     """
     n = c.n
-    base = build_certificate_dfa(c)
-    fresh = [f"f{j}" for j in range(1, 2 * n + 1)]
-    alphabet = base.alphabet | frozenset(fresh)
-    table: dict[tuple[str, str], str] = {}
-    for src, sym, dst in base.transitions:
-        if dst != "sink":
-            table[(src, sym)] = dst
+    states, table = _certificate_table(c)
+    alphabet = circuit_alphabet(c) | {f"f{j}" for j in range(1, 2 * n + 1)}
     for i in range(1, n):
         if c.gates[i - 1].kind != "const":
             table[("s", f"f{i}")] = str(i)
@@ -233,7 +234,6 @@ def build_padded_certificate_dfa(c: Circuit) -> Dfa:
         # No gate state feeds F, and x skips it when the output constant is
         # true, so reach it through an otherwise unused padding letter.
         table[("s", "f1")] = "F"
-    states = set(base.states) - {"sink"}
     padded = _complete(states, alphabet, table, "s", {"T", "F"})
     if len(minimize(padded).states) != len(padded.states):
         raise MinimalityViolation("padded certificate automaton is not minimal")

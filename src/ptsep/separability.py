@@ -123,35 +123,9 @@ class BlockProduct:
     anchors: tuple[AnchorRelation, ...]
 
 
-def _scc_letter_map(a: Nfa, gamma: frozenset[str], cache: dict) -> dict[str, frozenset[str]]:
-    found = cache.get(gamma)
-    if found is None:
-        found = {}
-        for comp in scc_decomposition(a, gamma):
-            for q in comp.states:
-                found[q] = comp.letters
-        cache[gamma] = found
-    return found
-
-
-def _common_gamma(
-    a: Nfa,
-    b: Nfa,
-    r_a: str,
-    r_b: str,
-    cache_a: dict,
-    cache_b: dict,
-) -> frozenset[str]:
-    gamma = frozenset(a.alphabet)
-    while True:
-        la = _scc_letter_map(a, gamma, cache_a).get(r_a, frozenset())
-        lb = _scc_letter_map(b, gamma, cache_b).get(r_b, frozenset())
-        refined = la & lb
-        if refined == gamma:
-            return gamma
-        gamma = refined
-        if not gamma:
-            return frozenset()
+def _scc_letter_map(a: Nfa, gamma: frozenset[str]) -> dict[str, frozenset[str]]:
+    """Each state's component letters in the gamma-restricted graph."""
+    return {q: comp.letters for comp in scc_decomposition(a, gamma) for q in comp.states}
 
 
 def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozenset[str]:
@@ -169,7 +143,51 @@ def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozens
         raise AutomatonError(f"unknown state {r_a!r} in the first automaton")
     if r_b not in b.states:
         raise AutomatonError(f"unknown state {r_b!r} in the second automaton")
-    return _common_gamma(a, b, r_a, r_b, {}, {})
+    gamma = frozenset(a.alphabet)
+    while True:
+        refined = _scc_letter_map(a, gamma)[r_a] & _scc_letter_map(b, gamma)[r_b]
+        if refined == gamma or not refined:
+            return refined
+        gamma = refined
+
+
+def _anchor_gammas(a: Nfa, b: Nfa) -> list[tuple[str, str, frozenset[str]]]:
+    """Every pair (r_a, r_b) with a nonempty maximal common cycle alphabet,
+    with that alphabet, in sorted (r_a, r_b) order.
+
+    This is the fixpoint of :func:`maximal_common_cycle_alphabet` run on groups
+    of roots at once: at the current gamma, roots are grouped by the letters
+    of their gamma-restricted component, and each pair of groups takes one
+    step together. A step that keeps gamma fixes it for every pair of the two
+    groups, an empty one drops them, and any other step goes on with the two
+    groups alone at the refined gamma."""
+    cache_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+    cache_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+
+    def groups(aut: Nfa, gamma, cache, roots) -> dict[frozenset[str], list[str]]:
+        if gamma not in cache:
+            cache[gamma] = _scc_letter_map(aut, gamma)
+        letters = cache[gamma]
+        out: dict[frozenset[str], list[str]] = {}
+        for r in roots:
+            if letters[r]:
+                out.setdefault(letters[r], []).append(r)
+        return out
+
+    found: list[tuple[str, str, frozenset[str]]] = []
+    work = [(frozenset(a.alphabet), a.states, b.states)]
+    while work:
+        gamma, roots_a, roots_b = work.pop()
+        groups_b = groups(b, gamma, cache_b, roots_b)
+        for la, group_a in groups(a, gamma, cache_a, roots_a).items():
+            for lb, group_b in groups_b.items():
+                refined = la & lb
+                if refined == gamma:
+                    found.extend((r_a, r_b, gamma) for r_a in group_a for r_b in group_b)
+                elif refined:
+                    work.append((refined, group_a, group_b))
+    found.sort(key=lambda anchor: anchor[:2])
+    return found
 
 
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
@@ -178,38 +196,24 @@ def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
     a, b = lift_pair(a, b)
     a, b = trim(a), trim(b)
 
-    cache_a: dict = {}
-    cache_b: dict = {}
-    # _common_gamma starts from the full alphabet, so a state outside every
-    # cycle of its automaton gets an empty gamma on the first step
-    full = frozenset(a.alphabet)
-    cyclic_a = _scc_letter_map(a, full, cache_a)
-    cyclic_b = _scc_letter_map(b, full, cache_b)
-    roots_a = [r for r in sorted(a.states) if cyclic_a[r]]
-    roots_b = [r for r in sorted(b.states) if cyclic_b[r]]
     reach_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
     reach_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}
     anchors: list[AnchorRelation] = []
-    for r_a in roots_a:
-        for r_b in roots_b:
-            gamma = _common_gamma(a, b, r_a, r_b, cache_a, cache_b)
-            if not gamma:
-                continue
-            if gamma not in reach_a:
-                reach_a[gamma] = restricted_reach(a, gamma)
-            if gamma not in reach_b:
-                reach_b[gamma] = restricted_reach(b, gamma)
-            enter_a = frozenset(p for p in a.states if r_a in reach_a[gamma][p])
-            enter_b = frozenset(q for q in b.states if r_b in reach_b[gamma][q])
-            anchors.append(
-                AnchorRelation(
-                    anchor=PumpAnchor(r_a, r_b, gamma),
-                    enter_a=enter_a,
-                    enter_b=enter_b,
-                    exit_a=reach_a[gamma][r_a],
-                    exit_b=reach_b[gamma][r_b],
-                )
+    for r_a, r_b, gamma in _anchor_gammas(a, b):
+        if gamma not in reach_a:
+            reach_a[gamma] = restricted_reach(a, gamma)
+            reach_b[gamma] = restricted_reach(b, gamma)
+        enter_a = frozenset(p for p in a.states if r_a in reach_a[gamma][p])
+        enter_b = frozenset(q for q in b.states if r_b in reach_b[gamma][q])
+        anchors.append(
+            AnchorRelation(
+                anchor=PumpAnchor(r_a, r_b, gamma),
+                enter_a=enter_a,
+                enter_b=enter_b,
+                exit_a=reach_a[gamma][r_a],
+                exit_b=reach_b[gamma][r_b],
             )
+        )
     return BlockProduct(a=a, b=b, anchors=tuple(anchors))
 
 

@@ -232,6 +232,9 @@ def test_lift_alphabet_preserves_language():
     assert brute_language(lifted) == brute_language(a)
     with pytest.raises(AlphabetMismatchError):
         lift_alphabet(a, {"b"})
+    # an NFA and its lift share one transition index
+    n = aut(A_THEN_ANY)
+    assert lift_alphabet(n, {"a", "b", "c"})._out is n._out
 
 
 def test_subset_construction_is_deterministic_total_and_language_preserving():
@@ -285,6 +288,8 @@ def test_minimize_preserves_language_and_is_minimal():
                     reach.add(t)
                     frontier.append(t)
         assert reach == set(m.states)
+        # a minimal DFA is returned as it is
+        assert minimize(m) is m
         # all state pairs distinguishable by some word up to |states|
         # (the classical bound for a complete DFA)
         def accepts_from(q, w):
@@ -336,6 +341,25 @@ def test_minimize_names_classes_by_least_member():
     assert m.step("a", "x") == "b" and m.step("b", "x") == "b"
 
 
+def test_minimize_rebuilds_a_dfa_with_an_unreachable_or_equivalent_state():
+    d = aut(EVEN_A)
+    assert minimize(d) is d
+    unreachable = Dfa.build(
+        d.states | {"u"}, d.alphabet, d.transitions | {("u", "a", "e")}, d.initial, d.final
+    )
+    # "f" accepts exactly like "e", so it merges into "e"
+    equivalent_pair = Dfa.build(
+        {"e", "o", "f", "p"},
+        {"a"},
+        {("e", "a", "o"), ("o", "a", "f"), ("f", "a", "p"), ("p", "a", "e")},
+        {"e"},
+        {"e", "f"},
+    )
+    for bigger in (unreachable, equivalent_pair):
+        m = minimize(bigger)
+        assert m is not bigger and m == d
+
+
 def test_equivalent_requires_shared_alphabet_and_compares_languages():
     a = aut(A_THEN_ANY)
     d = subset_construction(a)
@@ -371,6 +395,16 @@ def test_trim_of_empty_language_has_no_states():
     t = trim(a)
     assert t.states == frozenset() and t.initial == frozenset()
     assert language_empty(a)
+
+
+def test_trim_hands_over_the_index_built_from_scratch():
+    rng = random.Random(14)
+    empty = aut("kind: nfa\nstates: x\nalphabet: a\ninitial: x\nfinal:\ntrans: x a x\n")
+    automata = [empty] + [random_nfa(rng, max_states=6) for _ in range(200)]
+    assert any(not trim(a).states for a in automata[1:])
+    for a in automata:
+        t = trim(a)
+        assert t._out == Nfa(t.states, t.alphabet, t.transitions, t.initial, t.final)._out
 
 
 def test_language_empty_matches_brute_force():

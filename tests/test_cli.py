@@ -7,6 +7,7 @@ import textwrap
 import pytest
 
 from ptsep.automata import minimize, parse_automaton
+from ptsep.mcvp import random_circuit
 from ptsep.oracles import KProfile, KptSeparator, verify_separator
 
 AA_PLUS = """\
@@ -90,6 +91,13 @@ FALSE_CIRCUIT = "1 = 0\n2 = 1\n3 = AND 1 2\n4 = OR 3 3\n"
 TRUE_CIRCUIT = "1 = 1\n"
 MIXED_CIRCUIT = "1 = 1\n2 = 0\n3 = OR 1 2\n4 = AND 3 1\n5 = OR 4 2\n6 = AND 5 3\n"
 
+# a true circuit of the benchmark ladder's smallest size, whose instance has
+# 60 anchors
+LADDER_CIRCUIT = "".join(
+    f"{i} = {g.value}\n" if g.kind == "const" else f"{i} = {g.kind.upper()} {g.left} {g.right}\n"
+    for i, g in enumerate(random_circuit(40, 6).gates, start=1)
+)
+
 
 def run_cli(*args, cwd=None, hash_seed=None):
     env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
@@ -116,6 +124,7 @@ def files(tmp_path):
         "false.mcvp": FALSE_CIRCUIT,
         "true.mcvp": TRUE_CIRCUIT,
         "mixed.mcvp": MIXED_CIRCUIT,
+        "ladder.mcvp": LADDER_CIRCUIT,
     }.items():
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
@@ -186,13 +195,14 @@ def test_pt_check_no_oracle(files):
 
 
 def test_cli_output_is_deterministic(files):
-    # a pattern witness, a separator, a triple witness and an MCVP pattern,
+    # a pattern witness, a separator, a triple witness and two MCVP patterns,
     # each printed under two hash seeds
     for args in (
         ("separability", "ab.aut", "ba.aut", "--json"),
         ("separability", "aa.aut", "bb.aut", "--separator", "--json"),
         ("pt-check", "starts_a.aut", "--json"),
         ("mcvp", "endtoend", "mixed.mcvp", "--json"),
+        ("mcvp", "endtoend", "ladder.mcvp", "--json"),
     ):
         argv = [files.get(x, x) for x in args]
         runs = [run_cli(*argv, hash_seed=seed) for seed in ("0", "1")]

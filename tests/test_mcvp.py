@@ -12,10 +12,12 @@ from ptsep.automata import (
     product_intersection,
     subset_construction,
 )
+from ptsep import mcvp
 from ptsep.mcvp import (
     Circuit,
     CircuitError,
     Gate,
+    MinimalityViolation,
     build_certificate_dfa,
     build_padded_certificate_dfa,
     build_round_dfa,
@@ -192,6 +194,24 @@ def test_padded_dfa_is_minimal():
     for text in ("1 = 1", "1 = 0", FALSE_AND_CHAIN, "1 = 1\n2 = 1\n3 = AND 1 2"):
         d = build_padded_certificate_dfa(parse_circuit(text))
         assert len(minimize(subset_construction(d)).states) == len(d.states)
+
+
+def test_minimize_returns_padded_walkers_as_they_are():
+    for n in range(2, 41):
+        for seed in range(2):
+            d = build_padded_certificate_dfa(random_circuit(n, seed))
+            assert minimize(d) is d, (n, seed)
+
+
+def test_self_check_catches_an_unreachable_state(monkeypatch):
+    complete = mcvp._complete
+
+    def with_ghost(states, alphabet, table, initial, final):
+        return complete(states | {"ghost"}, alphabet, table, initial, final)
+
+    monkeypatch.setattr(mcvp, "_complete", with_ghost)
+    with pytest.raises(MinimalityViolation):
+        build_padded_certificate_dfa(parse_circuit(FALSE_AND_CHAIN))
 
 
 def test_all_constant_circuits_build_and_stay_minimal():

@@ -337,3 +337,9 @@ def test_chain_of_120_states_is_decided_without_the_quartic_scan():
     v = is_pt_dfa(d)
     assert not v.is_pt and verify_pt_witness(v)
     assert v.witness == Triple("c000", "c119", "r", chain, chain[:-1] + (z,), d.alphabet)
+
+
+def test_minimize_returns_minimal_chains_as_they_are():
+    for twin in (False, True):
+        d, _, _ = chain_dfa(40, twin)
+        assert minimize(d) is d

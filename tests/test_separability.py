@@ -3,7 +3,13 @@ import random
 import pytest
 
 from conftest import aut, brute_language, check_tower, random_nfa
-from ptsep.automata import AlphabetMismatchError, AutomatonError
+from ptsep.automata import (
+    AlphabetMismatchError,
+    AutomatonError,
+    restricted_reach,
+    scc_decomposition,
+)
+from ptsep.mcvp import instance_pair, random_circuit
 from ptsep.oracles import dual_deepening, verify_separator, verify_tower
 from ptsep.separability import (
     BlockSegment,
@@ -167,6 +173,55 @@ def test_block_product_structure_for_cycle_pair():
         assert rel.exit_a == frozenset({"s1", "s2"})
         assert rel.enter_b == frozenset({"t0", "t1", "t2"})
         assert rel.exit_b == frozenset({"t1", "t2"})
+
+
+def referee_anchors(a, b):
+    """The anchors of two trimmed automata, one maximal_common_cycle_alphabet
+    call per pair of states on some cycle, in (r_a, r_b) order."""
+
+    def cyclic(aut):
+        full = scc_decomposition(aut, aut.alphabet)
+        return sorted(q for comp in full if comp.letters for q in comp.states)
+
+    out = []
+    for r_a in cyclic(a):
+        for r_b in cyclic(b):
+            gamma = maximal_common_cycle_alphabet(a, b, r_a, r_b)
+            if gamma:
+                reach_a, reach_b = restricted_reach(a, gamma), restricted_reach(b, gamma)
+                out.append(
+                    (
+                        (r_a, r_b, gamma),
+                        frozenset(p for p in a.states if r_a in reach_a[p]),
+                        frozenset(q for q in b.states if r_b in reach_b[q]),
+                        reach_a[r_a],
+                        reach_b[r_b],
+                    )
+                )
+    return out
+
+
+def test_grouped_anchor_fixpoint_matches_the_per_pair_referee():
+    rng = random.Random(777)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [instance_pair(random_circuit(n, seed)) for n in (2, 5, 13, 20, 40) for seed in (0, 1)]
+    anchored = 0
+    for a, b in pairs:
+        bp = build_block_product(a, b)
+        got = [
+            (
+                (rel.anchor.r_a, rel.anchor.r_b, rel.anchor.gamma),
+                rel.enter_a,
+                rel.enter_b,
+                rel.exit_a,
+                rel.exit_b,
+            )
+            for rel in bp.anchors
+        ]
+        assert got == referee_anchors(bp.a, bp.b)
+        anchored += bool(got)
+    assert anchored > 200
 
 
 # ---------------------------------------------------------- the decision
