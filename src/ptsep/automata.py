@@ -3,12 +3,16 @@ operations, and the alphabet-restricted graph queries behind the decision
 procedures in the rest of the package.
 
 Automata are immutable; every operation returns a fresh automaton. Each
-automaton indexes its transitions once, on first use, as state -> letter ->
-sorted targets, and every graph query reads that index. State and symbol
-names are plain tokens (nonempty, no whitespace, no ``#``). Anything that can
-influence observable output (state naming, witness words, serialized text) is
-produced by iterating in sorted order, so results are reproducible across
-processes regardless of hash seeding.
+automaton indexes its transitions once as state -> letter -> sorted targets,
+and every graph query reads that index. The DFAs the library builds itself
+(subset construction, minimization, the MCVP instances) are built from the
+rows of that index and carry it from construction; any other automaton
+indexes its transitions on first use (a DFA at construction, where the index
+doubles as the completeness check). State and symbol names are plain tokens
+(nonempty, no whitespace, no ``#``). Anything that can influence observable
+output (state naming, witness words, serialized text) is produced by
+iterating in sorted order, so results are reproducible across processes
+regardless of hash seeding.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[str, ...]
@@ -155,6 +160,53 @@ class Dfa(Nfa):
             sym = min(self.alphabet - out[q].keys())
             raise AutomatonError(f"incomplete DFA: no transition for ({q}, {sym})")
 
+    @classmethod
+    def _from_rows(
+        cls,
+        rows: dict[str, dict[str, str]],
+        alphabet: frozenset[str],
+        initial: Iterable[str],
+        final: Iterable[str],
+    ) -> "Dfa":
+        """The DFA with ``rows[q][sym]`` as the target of q under sym, equal
+        field by field to :meth:`build` on the same triples. The library's
+        own builders use it: it checks each row whole (its letters are the
+        alphabet, its targets declared states) and keeps the rows as the
+        transition index, instead of checking and indexing every transition.
+        Anything that fails a check goes to ``Dfa(...)``, which raises its
+        own message."""
+        states, initial, final = frozenset(rows), frozenset(initial), frozenset(final)
+        transitions = frozenset(
+            chain.from_iterable(zip(repeat(q), row, row.values()) for q, row in rows.items())
+        )
+        width = len(alphabet)
+        if not (
+            len(initial) == 1
+            and initial <= states
+            and final <= states
+            and all(
+                len(row) == width and alphabet.issuperset(row) and states.issuperset(row.values())
+                for row in rows.values()
+            )
+        ):
+            return cls(states, alphabet, transitions, initial, final)
+        for name in states:
+            _check_token(name, "state name")
+        for name in alphabet:
+            _check_token(name, "symbol")
+        # the index shares one 1-tuple per target state
+        single = {q: (q,) for q in states}.__getitem__
+        d = cls.__new__(cls)
+        d.__dict__.update(
+            states=states,
+            alphabet=alphabet,
+            transitions=transitions,
+            initial=initial,
+            final=final,
+            _out={q: dict(zip(row, map(single, row.values()))) for q, row in rows.items()},
+        )
+        return d
+
     @property
     def start(self) -> str:
         return next(iter(self.initial))
@@ -225,8 +277,12 @@ def parse_automaton(text: str) -> Nfa:
         for tok in values:
             if tok not in states:
                 raise ParseError(f"undeclared state {tok!r} in '{key}:' line", ln)
-    initial = token_set("initial")
-    final = token_set("final")
+    # every later occurrence of a name is mapped to its declared string, so
+    # dict lookups keyed by names hit on identity
+    declared = {q: q for q in states}
+    symbols = {sym: sym for sym in alphabet}
+    initial = frozenset(map(declared.__getitem__, token_set("initial")))
+    final = frozenset(map(declared.__getitem__, token_set("final")))
 
     triples: set[Transition] = set()
     seen_pairs: dict[tuple[str, str], int] = {}
@@ -237,6 +293,7 @@ def parse_automaton(text: str) -> Nfa:
             raise ParseError(f"undeclared state {dst!r}", ln)
         if sym not in alphabet:
             raise ParseError(f"undeclared symbol {sym!r}", ln)
+        src, sym, dst = declared[src], symbols[sym], declared[dst]
         if kind == "dfa" and (src, sym) in seen_pairs and (src, sym, dst) not in triples:
             raise ParseError(f"duplicate transition for ({src}, {sym}) in a DFA", ln)
         seen_pairs[(src, sym)] = ln
@@ -340,19 +397,19 @@ def subset_construction(a: Nfa) -> Dfa:
     start = frozenset(a.initial)
     order: list[frozenset[str]] = [start]
     names = {start: name(start)}
-    triples: set[Transition] = set()
+    rows: dict[str, dict[str, str]] = {}
     for subset in order:
-        src = names[subset]
+        row = rows[names[subset]] = {}
         for sym in letters:
             target = a.step_set(subset, sym)
             dst = names.get(target)
             if dst is None:
                 dst = names[target] = name(target)
                 order.append(target)
-            triples.add((src, sym, dst))
-    states = _distinct_names(names, "subsets")
+            row[sym] = dst
+    _distinct_names(names, "subsets")
     final = {names[s] for s in order if s & a.final}
-    return Dfa.build(states, a.alphabet, triples, {names[start]}, final)
+    return Dfa._from_rows(rows, a.alphabet, {names[start]}, final)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -399,12 +456,13 @@ def minimize(d: Dfa) -> Dfa:
     for q in ordered:
         representative.setdefault(block[q], q)
     rename = {q: representative[block[q]] for q in seen}
-    states = set(rename.values())
-    triples = {
-        (rename[q], sym, rename[t]) for q in seen for sym, t in zip(letters, rows[q])
+    # members of a class step into the same classes, so the representative's
+    # row is the class's row
+    classes = {
+        r: dict(zip(letters, map(rename.__getitem__, rows[r]))) for r in representative.values()
     }
     final = {rename[q] for q in seen if q in d.final}
-    return Dfa.build(states, d.alphabet, triples, {rename[start]}, final)
+    return Dfa._from_rows(classes, d.alphabet, {rename[start]}, final)
 
 
 def _canonical_table(d: Dfa) -> tuple:

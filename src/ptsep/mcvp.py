@@ -149,12 +149,15 @@ def _complete(
     initial: str,
     final: set[str],
 ) -> Dfa:
-    """Close a partial transition table with a dead sink."""
+    """Close a partial transition table with a dead sink: every row starts
+    with all letters into the sink, and the table is written over it."""
     sink = "sink"
     assert sink not in states
-    all_states = states | {sink}
-    transitions = {(q, sym, table.get((q, sym), sink)) for q in all_states for sym in alphabet}
-    return Dfa.build(all_states, alphabet, transitions, {initial}, final)
+    into_sink = dict.fromkeys(alphabet, sink)
+    rows = {q: into_sink.copy() for q in states | {sink}}
+    for (q, sym), t in table.items():
+        rows[q][sym] = t
+    return Dfa._from_rows(rows, alphabet, {initial}, final)
 
 
 def _certificate_table(c: Circuit) -> tuple[set[str], dict[tuple[str, str], str]]:

@@ -272,6 +272,53 @@ def test_subset_construction_refuses_ambiguous_subset_names():
         subset_construction(a)
 
 
+def test_parser_reuses_declared_names():
+    a = parse_automaton(
+        "kind: nfa\nstates: p0 q0\nalphabet: ab\ninitial: p0\nfinal: q0\n"
+        "trans: p0 ab q0\ntrans: q0 ab q0\n"
+    )
+    names = {id(q) for q in a.states} | {id(sym) for sym in a.alphabet}
+    occurrences = [*a.initial, *a.final, *(x for t in a.transitions for x in t)]
+    assert all(id(x) in names for x in occurrences)
+
+
+def test_dfas_built_from_rows_equal_the_triple_path():
+    rng = random.Random(4242)
+    for _ in range(1000):
+        d = subset_construction(random_nfa(rng, max_states=6))
+        for built in (d, minimize(d)):
+            ref = Dfa(built.states, built.alphabet, built.transitions, built.initial, built.final)
+            assert type(built) is Dfa and built == ref and built._out == ref._out
+
+
+def test_rows_constructor_rejects_what_the_public_constructor_rejects():
+    ab = frozenset("ab")
+    good = {"p": {"a": "q", "b": "p"}, "q": {"a": "q", "b": "q"}}
+    cases = [
+        ({**good, "p": {"a": "q"}}, ab, {"p"}, {"q"}),  # a row misses a letter
+        ({**good, "q": {"a": "q", "b": "q", "c": "p"}}, ab, {"p"}, {"q"}),  # foreign letter
+        ({**good, "q": {"a": "q", "c": "p"}}, ab, {"p"}, {"q"}),  # one in place of b
+        ({**good, "q": {"a": "r", "b": "q"}}, ab, {"p"}, {"q"}),  # undeclared target
+        ({**good, "q#": {"a": "q", "b": "q"}}, ab, {"p"}, {"q"}),  # bad state token
+        ({"p": {"a b": "p"}}, frozenset({"a b"}), {"p"}, {"p"}),  # bad symbol token
+        (good, ab, set(), {"q"}),  # no initial state
+        (good, ab, {"p", "q"}, {"q"}),  # two initial states
+        (good, ab, {"r"}, {"q"}),  # undeclared initial state
+        (good, ab, {"p"}, {"r"}),  # undeclared final state
+    ]
+    for rows, alphabet, initial, final in cases:
+        triples = {(q, sym, t) for q, row in rows.items() for sym, t in row.items()}
+        messages = []
+        for build in (
+            lambda: Dfa.build(rows, alphabet, triples, initial, final),
+            lambda: Dfa._from_rows(rows, alphabet, initial, final),
+        ):
+            with pytest.raises(AutomatonError) as exc:
+                build()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1], messages
+
+
 def test_minimize_preserves_language_and_is_minimal():
     rng = random.Random(12)
     for _ in range(60):

@@ -87,6 +87,22 @@ trans: qp a qp
 trans: qp b qp
 """
 
+# contains ab; the subset construction gives two accepting subsets that
+# minimization merges
+HAS_AB = """\
+kind: nfa
+states: n0 n1 n2
+alphabet: a b
+initial: n0
+final: n2
+trans: n0 a n0
+trans: n0 b n0
+trans: n0 a n1
+trans: n1 b n2
+trans: n2 a n2
+trans: n2 b n2
+"""
+
 FALSE_CIRCUIT = "1 = 0\n2 = 1\n3 = AND 1 2\n4 = OR 3 3\n"
 TRUE_CIRCUIT = "1 = 1\n"
 MIXED_CIRCUIT = "1 = 1\n2 = 0\n3 = OR 1 2\n4 = AND 3 1\n5 = OR 4 2\n6 = AND 5 3\n"
@@ -121,6 +137,7 @@ def files(tmp_path):
         "ba.aut": BA_CYCLE,
         "even.aut": EVEN_A,
         "starts_a.aut": STARTS_WITH_A,
+        "has_ab.aut": HAS_AB,
         "false.mcvp": FALSE_CIRCUIT,
         "true.mcvp": TRUE_CIRCUIT,
         "mixed.mcvp": MIXED_CIRCUIT,
@@ -195,20 +212,31 @@ def test_pt_check_no_oracle(files):
 
 
 def test_cli_output_is_deterministic(files):
-    # a pattern witness, a separator, a triple witness and two MCVP patterns,
-    # each printed under two hash seeds
+    # a pattern witness, a separator, a triple witness, two MCVP patterns, a
+    # subset-construction DFA, a minimal DFA and the written MCVP instance
+    # files, each produced under two hash seeds
+    built = files["dir"] / "built"
+
+    def written():
+        return {p.name: p.read_text(encoding="utf-8") for p in sorted(built.glob("*.aut"))}
+
     for args in (
         ("separability", "ab.aut", "ba.aut", "--json"),
         ("separability", "aa.aut", "bb.aut", "--separator", "--json"),
         ("pt-check", "starts_a.aut", "--json"),
         ("mcvp", "endtoend", "mixed.mcvp", "--json"),
         ("mcvp", "endtoend", "ladder.mcvp", "--json"),
+        ("determinize", "has_ab.aut"),
+        ("minimize", "has_ab.aut"),
+        ("mcvp", "build", "ladder.mcvp", "--out-dir", str(built)),
     ):
         argv = [files.get(x, x) for x in args]
-        runs = [run_cli(*argv, hash_seed=seed) for seed in ("0", "1")]
-        assert runs[0].stderr == "", args
-        assert runs[0].stdout == runs[1].stdout, args
-        assert runs[0].returncode == runs[1].returncode, args
+        runs = [(run_cli(*argv, hash_seed=seed), written()) for seed in ("0", "1")]
+        assert runs[0][0].stderr == "", args
+        assert runs[0][0].stdout == runs[1][0].stdout, args
+        assert runs[0][0].returncode == runs[1][0].returncode, args
+        assert runs[0][1] == runs[1][1], args
+    assert len(written()) == 3
 
 
 # --------------------------------------------------------------- separability

@@ -10,7 +10,9 @@ verdict, witness, tower or minimal DFA changed. Covered:
   ``dual_deepening(a, b, 6, 5, 500, 5000)``, ``bounded_tower_exists(a, b, h,
   3000)`` for h = 1..4 and ``reachable_profiles(a, k, 400)`` for k = 0..3;
 - the 1000 seed-4242 NFAs: ``is_pt_nfa`` (verdict, witness and minimal DFA),
-  and ``pt_bounded(minimal DFA, 4, n)`` for n = 1000 and 50.
+  and ``pt_bounded(minimal DFA, 4, n)`` for n = 1000 and 50;
+- the MCVP instances of ``random_circuit(n, seed)`` for n = 40, 80, 160, 320
+  and seeds 0 and 1: the serialized padded walker and round counter.
 
 An oracle that runs out of budget is dumped as its ``Inconclusive`` message.
 
@@ -27,6 +29,7 @@ from pathlib import Path
 
 from conftest import random_nfa
 from ptsep.automata import Nfa, serialize_automaton
+from ptsep.mcvp import instance_pair, random_circuit
 from ptsep.oracles import (
     Inconclusive,
     bounded_tower_exists,
@@ -82,6 +85,9 @@ def instances():
     for i, verdict in enumerate(verdicts):
         d = verdict.minimal_dfa
         yield f"pt-bounded-{i}", canonical((pt_bounded(d, 4, 1000), pt_bounded(d, 4, 50)))
+    for n in (40, 80, 160, 320):
+        for seed in (0, 1):
+            yield f"mcvp-{n}-{seed}", canonical(instance_pair(random_circuit(n, seed)))
 
 
 def digest(text: str) -> str:

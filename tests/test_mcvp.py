@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_language
 from ptsep.automata import (
+    Dfa,
     cycle_over_alphabet,
     language_empty,
     lift_alphabet,
@@ -201,6 +202,15 @@ def test_minimize_returns_padded_walkers_as_they_are():
         for seed in range(2):
             d = build_padded_certificate_dfa(random_circuit(n, seed))
             assert minimize(d) is d, (n, seed)
+
+
+def test_instance_builders_equal_the_triple_path():
+    for n in range(2, 41):
+        for seed in (0, 1):
+            c = random_circuit(n, seed)
+            for d in (build_certificate_dfa(c), build_padded_certificate_dfa(c), build_round_dfa(c)):
+                ref = Dfa(d.states, d.alphabet, d.transitions, d.initial, d.final)
+                assert d == ref and d._out == ref._out, (n, seed)
 
 
 def test_self_check_catches_an_unreachable_state(monkeypatch):
