@@ -4,15 +4,21 @@ procedures in the rest of the package.
 
 Automata are immutable; every operation returns a fresh automaton. Each
 automaton indexes its transitions once as state -> letter -> sorted targets,
-and every graph query reads that index. The DFAs the library builds itself
-(subset construction, minimization, the MCVP instances) are built from the
-rows of that index and carry it from construction; any other automaton
-indexes its transitions on first use (a DFA at construction, where the index
-doubles as the completeness check). State and symbol names are plain tokens
-(nonempty, no whitespace, no ``#``). Anything that can influence observable
-output (state naming, witness words, serialized text) is produced by
-iterating in sorted order, so results are reproducible across processes
-regardless of hash seeding.
+and every graph query reads that index.
+
+Automata are checked once, where they enter the library: ``parse_automaton``,
+``Nfa(...)``, ``Dfa(...)`` and ``Nfa.build`` check every name and transition.
+An automaton the library derives from checked ones (``trim``,
+``lift_alphabet``, ``product_intersection``) is handed its fields and its
+index without a second check; ``lift_alphabet`` checks only the letters its
+caller adds. The DFAs the library builds itself (subset construction,
+minimization, the MCVP instances) come from their rows, each row checked
+whole. Any other automaton indexes its transitions on first use (a DFA at
+construction, where the index doubles as the completeness check). State and
+symbol names are plain tokens (nonempty, no whitespace, no ``#``). Anything
+that can influence observable output (state naming, witness words,
+serialized text) is produced by iterating in sorted order, so results are
+reproducible across processes regardless of hash seeding.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ class Nfa:
     The transition relation may be partial. ``states`` may be empty (the
     zero-state automaton produced by :func:`trim` on an empty language), in
     which case ``initial`` is empty as well and no word is accepted.
+
+    The constructor checks every name and transition. Automata the library
+    derives from checked ones skip that check through :meth:`_handed_over`,
+    and are equal field by field, index included, to what the constructor
+    builds from the same fields.
     """
 
     states: frozenset[str]
@@ -103,6 +114,30 @@ class Nfa:
             frozenset(initial),
             frozenset(final),
         )
+
+    @classmethod
+    def _handed_over(
+        cls,
+        states: frozenset[str],
+        alphabet: frozenset[str],
+        transitions: frozenset[Transition],
+        initial: frozenset[str],
+        final: frozenset[str],
+        out: dict[str, dict[str, tuple[str, ...]]],
+    ) -> "Nfa":
+        """The automaton with these fields and ``out`` as its transition
+        index, built without a check. Only for fields derived from checked
+        automata: ``out`` must be the index that :attr:`_out` would build."""
+        x = cls.__new__(cls)
+        x.__dict__.update(
+            states=states,
+            alphabet=alphabet,
+            transitions=transitions,
+            initial=initial,
+            final=final,
+            _out=out,
+        )
+        return x
 
     @cached_property
     def _out(self) -> dict[str, dict[str, tuple[str, ...]]]:
@@ -196,16 +231,8 @@ class Dfa(Nfa):
             _check_token(name, "symbol")
         # the index shares one 1-tuple per target state
         single = {q: (q,) for q in states}.__getitem__
-        d = cls.__new__(cls)
-        d.__dict__.update(
-            states=states,
-            alphabet=alphabet,
-            transitions=transitions,
-            initial=initial,
-            final=final,
-            _out={q: dict(zip(row, map(single, row.values()))) for q, row in rows.items()},
-        )
-        return d
+        out = {q: dict(zip(row, map(single, row.values()))) for q, row in rows.items()}
+        return cls._handed_over(states, alphabet, transitions, initial, final, out)
 
     @property
     def start(self) -> str:
@@ -342,15 +369,16 @@ def membership(a: Nfa, w: Word) -> bool:
 
 def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
     """Reinterpret over a larger alphabet; the language is unchanged since the
-    new symbols have no transitions. Always returns a plain Nfa."""
+    new symbols have no transitions. Always returns a plain Nfa. Only the
+    added letters are checked, least first."""
     alphabet = frozenset(alphabet)
     if not a.alphabet <= alphabet:
         raise AlphabetMismatchError("lift target must contain the current alphabet")
-    lifted = Nfa(a.states, alphabet, a.transitions, a.initial, a.final)
+    for sym in sorted(alphabet - a.alphabet):
+        _check_token(sym, "symbol")
     # the new letters carry no transitions, so both share one index; the
     # minimal DFA is not shared, since the new letters need a sink
-    lifted.__dict__["_out"] = a._out
-    return lifted
+    return Nfa._handed_over(a.states, alphabet, a.transitions, a.initial, a.final, a._out)
 
 
 def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
@@ -366,8 +394,16 @@ def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
 
 
 def language_empty(a: Nfa) -> bool:
-    """True when no word is accepted."""
-    return not trim(a).states
+    """True when no word is accepted: :func:`shortest_run` searches forward
+    from the initial states and stops at the first final state it reaches."""
+    return shortest_run(a, a.initial, a.final) is None
+
+
+def _triples(out: dict[str, dict[str, tuple[str, ...]]]) -> frozenset[Transition]:
+    """The transitions that a transition index holds."""
+    return frozenset(
+        (q, sym, t) for q, row in out.items() for sym, dsts in row.items() for t in dsts
+    )
 
 
 def _distinct_names(names: dict, what: str) -> set[str]:
@@ -523,41 +559,44 @@ def trim(a: Nfa) -> Nfa:
         }
         for q in keep
     }
-    triples = frozenset(
-        (q, sym, t) for q, row in out.items() for sym, dsts in row.items() for t in dsts
+    return Nfa._handed_over(
+        frozenset(keep), a.alphabet, _triples(out), a.initial & keep, a.final & keep, out
     )
-    trimmed = Nfa(frozenset(keep), a.alphabet, triples, a.initial & keep, a.final & keep)
-    trimmed.__dict__["_out"] = out
-    return trimmed
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Synchronized product recognizing L(a) & L(b); states are reachable
     pairs named ``(p,q)``. Raises AutomatonError when two reachable pairs
-    would get one name."""
+    would get one name. The product's index is built as the pairs are
+    joined."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("product requires a shared alphabet")
     out_a, out_b = a._out, b._out
     start_pairs = sorted((p, q) for p in a.initial for q in b.initial)
     order = list(start_pairs)
     names = {pair: f"({pair[0]},{pair[1]})" for pair in start_pairs}
-    triples: set[Transition] = set()
+    out: dict[str, dict[str, tuple[str, ...]]] = {}
     for pair in order:
-        src = names[pair]
+        row = out[names[pair]] = {}
         row_a, row_b = out_a[pair[0]], out_b[pair[1]]
-        for sym in sorted(row_a.keys() & row_b.keys()):
-            for pn in row_a[sym]:
-                for qn in row_b[sym]:
+        for sym, dsts_a in row_a.items():
+            dsts_b = row_b.get(sym)
+            if not dsts_b:
+                continue
+            dsts = []
+            for pn in dsts_a:
+                for qn in dsts_b:
                     child = (pn, qn)
                     dst = names.get(child)
                     if dst is None:
                         dst = names[child] = f"({pn},{qn})"
                         order.append(child)
-                    triples.add((src, sym, dst))
-    states = _distinct_names(names, "pairs")
-    initial = {names[pair] for pair in start_pairs}
-    final = {names[(p, q)] for (p, q) in order if p in a.final and q in b.final}
-    return Nfa.build(states, a.alphabet, triples, initial, final)
+                    dsts.append(dst)
+            row[sym] = tuple(sorted(dsts))
+    states = frozenset(_distinct_names(names, "pairs"))
+    initial = frozenset(names[pair] for pair in start_pairs)
+    final = frozenset(names[(p, q)] for (p, q) in order if p in a.final and q in b.final)
+    return Nfa._handed_over(states, a.alphabet, _triples(out), initial, final, out)
 
 
 # ---------------------------------------------------------------------------

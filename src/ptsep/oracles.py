@@ -13,16 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import piecewise
-from .automata import (
-    Dfa,
-    Nfa,
-    Word,
-    language_empty,
-    lift_pair,
-    membership,
-    minimize,
-    product_intersection,
-)
+from .automata import Dfa, Nfa, Word, lift_pair, membership, minimize
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_TOWER_MAX_NODES = 2_000_000
@@ -225,6 +216,16 @@ def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> s
     return {prof for state, prof in configs if state in d.final}
 
 
+def _meets(b: Nfa, masks: set, max_nodes: int, layout: _Bitmasks | _PieceSets) -> bool:
+    """Whether ``b`` accepts a word whose profile, in ``layout``, is among
+    ``masks``: the BFS of :func:`_accepted_masks`, stopped at the first such
+    profile, so the configurations past it are never searched."""
+    d = b._minimal
+    final = d.final
+    configs = _profile_configs(d, _live(d), max_nodes, layout)
+    return any(state in final and prof in masks for state, prof in configs)
+
+
 def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
     """The set of k-profiles of accepted words, by BFS over (state, profile)
     configurations of the minimal DFA, restricted to states from which
@@ -383,6 +384,31 @@ def bounded_tower_exists(
     return Tower(words=words, start_side=side)
 
 
+def _share_a_word(a: Nfa, b: Nfa) -> bool:
+    """Whether L(a) and L(b) share a word, by a BFS over the reachable state
+    pairs that joins the two rows on their shared letters and stops at the
+    first pair of final states. A letter outside one alphabet has no entry in
+    that automaton's rows, so this answers as the product of the lifted pair
+    would, without building it."""
+    out_a, out_b = a._out, b._out
+    final_a, final_b = a.final, b.final
+    seen = {(p, q) for p in a.initial for q in b.initial}
+    queue = list(seen)
+    for p, q in queue:
+        if p in final_a and q in final_b:
+            return True
+        row_b = out_b[q]
+        for sym, dsts_a in out_a[p].items():
+            dsts_b = row_b.get(sym)
+            if dsts_b:
+                for pn in dsts_a:
+                    for qn in dsts_b:
+                        if (pn, qn) not in seen:
+                            seen.add((pn, qn))
+                            queue.append((pn, qn))
+    return False
+
+
 @dataclass(frozen=True)
 class DeepeningVerdict:
     """A conclusive separability answer from the deepening oracle, with the
@@ -408,19 +434,24 @@ def dual_deepening(
     any tower of some height (towers of greater height contain smaller ones).
     A tower that does exist is never conclusive on its own, so everything
     else is inconclusive (None). Budget overruns skip the affected probe.
+
+    The separator probe at level k is :func:`separable_by_kpt`'s search,
+    stopped at the first accepted profile of b that a also has: no separator
+    and an overrun both skip the probe, so the verdict is the same.
     """
     # a common word gives towers of every height and defeats every separator,
     # so no probe below can conclude; skip straight to inconclusive
-    if not language_empty(product_intersection(*lift_pair(a, b))):
+    if _share_a_word(a, b):
         return None
+    letters = tuple(sorted(a.alphabet | b.alphabet))
     for level in range(1, max(kmax, hmax) + 1):
         if level <= kmax:
+            layout = _layout(letters, level)
             try:
-                sep = separable_by_kpt(a, b, level, max_nodes)
+                if not _meets(b, _accepted_masks(a, max_nodes, layout), max_nodes, layout):
+                    return DeepeningVerdict(separable=True, level=level, method="separator")
             except Inconclusive:
-                sep = None
-            if sep is not None:
-                return DeepeningVerdict(separable=True, level=level, method="separator")
+                pass
         if level <= hmax:
             try:
                 tower = bounded_tower_exists(a, b, level, tower_max_nodes)

@@ -235,6 +235,14 @@ def test_lift_alphabet_preserves_language():
     # an NFA and its lift share one transition index
     n = aut(A_THEN_ANY)
     assert lift_alphabet(n, {"a", "b", "c"})._out is n._out
+    # only the added letters are checked: a malformed one raises the
+    # constructor's message, and of several the least is named
+    for bad in ({"a b"}, {"x#"}, {"x#", "a b", "c d"}):
+        with pytest.raises(AutomatonError) as lifted:
+            lift_alphabet(n, n.alphabet | bad)
+        with pytest.raises(AutomatonError) as built:
+            Nfa(n.states, n.alphabet | {min(bad)}, n.transitions, n.initial, n.final)
+        assert str(lifted.value) == str(built.value)
 
 
 def test_subset_construction_is_deterministic_total_and_language_preserving():
@@ -445,13 +453,18 @@ def test_trim_of_empty_language_has_no_states():
 
 
 def test_trim_hands_over_the_index_built_from_scratch():
+    # trim, lift_alphabet and product_intersection skip the constructor's
+    # checks; each result must equal the constructor's, index included
     rng = random.Random(14)
     empty = aut("kind: nfa\nstates: x\nalphabet: a\ninitial: x\nfinal:\ntrans: x a x\n")
     automata = [empty] + [random_nfa(rng, max_states=6) for _ in range(200)]
     assert any(not trim(a).states for a in automata[1:])
-    for a in automata:
-        t = trim(a)
-        assert t._out == Nfa(t.states, t.alphabet, t.transitions, t.initial, t.final)._out
+    lifted = [lift_alphabet(a, "abcd") for a in automata]
+    products = [product_intersection(x, y) for x, y in zip(lifted, lifted[1:])]
+    assert any(len(p.states) > 1 for p in products)
+    for x in [trim(a) for a in automata] + lifted + products:
+        ref = Nfa(x.states, x.alphabet, x.transitions, x.initial, x.final)
+        assert type(x) is Nfa and x == ref and x._out == ref._out
 
 
 def test_language_empty_matches_brute_force():
@@ -460,6 +473,7 @@ def test_language_empty_matches_brute_force():
         a = random_nfa(rng, max_states=5)
         # a shortest accepted word never needs more letters than there are states
         assert language_empty(a) == (not brute_language(a, len(a.states)))
+        assert language_empty(a) == (not trim(a).states)
 
 
 def test_product_intersection_matches_set_intersection():

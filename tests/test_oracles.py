@@ -7,7 +7,7 @@ import pytest
 
 from conftest import aut, brute_language, brute_profile, is_subsequence, random_nfa
 from ptsep import automata
-from ptsep.automata import Nfa
+from ptsep.automata import Nfa, language_empty, lift_pair, product_intersection
 from ptsep.oracles import (
     DeepeningVerdict,
     Inconclusive,
@@ -25,9 +25,12 @@ from ptsep.oracles import (
     verify_separator,
     verify_tower,
     _MASK_MAX_BITS,
+    _accepted_masks,
     _Bitmasks,
     _layout,
+    _meets,
     _PieceSets,
+    _share_a_word,
 )
 from ptsep.separability import decide_separability
 
@@ -476,6 +479,75 @@ def test_each_operand_is_determinized_once(monkeypatch):
 def test_dual_deepening_shortcuts_on_common_word():
     sigma = aut("kind: dfa\nstates: z\nalphabet: a\ninitial: z\nfinal: z\ntrans: z a z\n")
     assert dual_deepening(sigma, sigma, 6, 5) is None
+
+
+def test_common_word_search_matches_the_lifted_product():
+    rng = random.Random(21)
+    outcomes = set()
+    mixed = 0
+    for _ in range(300):
+        a = random_nfa(rng, max_states=5, letters=tuple(rng.sample("abcd", 3)))
+        b = random_nfa(rng, max_states=5, letters=tuple(rng.sample("abcd", 3)))
+        expected = not language_empty(product_intersection(*lift_pair(a, b)))
+        assert _share_a_word(a, b) == expected
+        outcomes.add(expected)
+        mixed += a.alphabet != b.alphabet
+    assert outcomes == {True, False} and mixed > 150
+
+
+def reference_deepening(a, b, kmax, hmax, max_nodes, tower_max_nodes):
+    """dual_deepening from the public probes: the lifted product for the
+    common word, and each separator probe run to the end by
+    separable_by_kpt."""
+    if not language_empty(product_intersection(*lift_pair(a, b))):
+        return None
+    for level in range(1, max(kmax, hmax) + 1):
+        if level <= kmax:
+            try:
+                sep = separable_by_kpt(a, b, level, max_nodes)
+            except Inconclusive:
+                sep = None
+            if sep is not None:
+                return DeepeningVerdict(separable=True, level=level, method="separator")
+        if level <= hmax:
+            try:
+                tower = bounded_tower_exists(a, b, level, tower_max_nodes)
+            except Inconclusive:
+                continue
+            if tower is None:
+                return DeepeningVerdict(separable=True, level=level, method="tower-absence")
+    return None
+
+
+def test_dual_deepening_matches_the_reference_probes():
+    rng = random.Random(777)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    for budgets in ((500, 5000), (5, 50)):
+        verdicts = set()
+        for a, b in pairs:
+            got = dual_deepening(a, b, 6, 5, *budgets)
+            assert got == reference_deepening(a, b, 6, 5, *budgets)
+            verdicts.add(got is None)
+        assert verdicts == {True, False}
+
+
+def test_separator_probe_stops_at_the_first_shared_profile():
+    # A: odd numbers of a's; B: positive even numbers of a's, with b, c, d
+    # read anywhere. Disjoint and not separable. At k = 1 B meets A's
+    # profile {ε, a} after "aa", among its first 12 configurations, while
+    # its whole space has 24 and overruns a budget of 12
+    odd = aut("kind: dfa\nstates: e o\nalphabet: a\ninitial: e\nfinal: o\ntrans: e a o\ntrans: o a e\n")
+    lines = ["kind: dfa", "states: z o e", "alphabet: a b c d", "initial: z", "final: e"]
+    lines += ["trans: z a o", "trans: o a e", "trans: e a o"]
+    lines += [f"trans: {q} {sym} {q}" for q in "zoe" for sym in "bcd"]
+    even = aut("\n".join(lines))
+    with pytest.raises(Inconclusive):
+        separable_by_kpt(odd, even, 1, max_nodes=12)
+    layout = _layout(("a", "b", "c", "d"), 1)
+    assert _meets(even, _accepted_masks(odd, 12, layout), 12, layout)
+    for args in ((1, 0, 12, 50), (2, 2, 12, 50), (6, 5, 500, 5000)):
+        assert dual_deepening(odd, even, *args) is None
+        assert reference_deepening(odd, even, *args) is None
 
 
 # ------------------------------------------------------------------ pt_bounded
