@@ -216,16 +216,6 @@ def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> s
     return {prof for state, prof in configs if state in d.final}
 
 
-def _meets(b: Nfa, masks: set, max_nodes: int, layout: _Bitmasks | _PieceSets) -> bool:
-    """Whether ``b`` accepts a word whose profile, in ``layout``, is among
-    ``masks``: the BFS of :func:`_accepted_masks`, stopped at the first such
-    profile, so the configurations past it are never searched."""
-    d = b._minimal
-    final = d.final
-    configs = _profile_configs(d, _live(d), max_nodes, layout)
-    return any(state in final and prof in masks for state, prof in configs)
-
-
 def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
     """The set of k-profiles of accepted words, by BFS over (state, profile)
     configurations of the minimal DFA, restricted to states from which
@@ -253,11 +243,15 @@ def separable_by_kpt(
     """A k-piecewise-testable separator exists iff the two languages realize
     disjoint sets of k-profiles; the separator (union of the profile classes
     of L(a)) is returned as those accepted profiles. Both sides are searched
-    over the layout of the union alphabet, so their profiles compare."""
+    over the layout of the union alphabet, so their profiles compare. The
+    search of b stops at the first accepted profile that a also has: past
+    it the answer is None, so a budget it would overrun later is no longer
+    reached."""
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), k)
     masks_a = _accepted_masks(a, max_nodes, layout)
-    masks_b = _accepted_masks(b, max_nodes, layout)
-    if masks_a & masks_b:
+    d = b._minimal
+    configs = _profile_configs(d, _live(d), max_nodes, layout)
+    if any(state in d.final and prof in masks_a for state, prof in configs):
         return None
     return KptSeparator(k=k, accepted_profiles=frozenset(map(layout.decode, masks_a)), side="A")
 
@@ -434,24 +428,19 @@ def dual_deepening(
     any tower of some height (towers of greater height contain smaller ones).
     A tower that does exist is never conclusive on its own, so everything
     else is inconclusive (None). Budget overruns skip the affected probe.
-
-    The separator probe at level k is :func:`separable_by_kpt`'s search,
-    stopped at the first accepted profile of b that a also has: no separator
-    and an overrun both skip the probe, so the verdict is the same.
     """
     # a common word gives towers of every height and defeats every separator,
     # so no probe below can conclude; skip straight to inconclusive
     if _share_a_word(a, b):
         return None
-    letters = tuple(sorted(a.alphabet | b.alphabet))
     for level in range(1, max(kmax, hmax) + 1):
         if level <= kmax:
-            layout = _layout(letters, level)
             try:
-                if not _meets(b, _accepted_masks(a, max_nodes, layout), max_nodes, layout):
-                    return DeepeningVerdict(separable=True, level=level, method="separator")
+                sep = separable_by_kpt(a, b, level, max_nodes)
             except Inconclusive:
-                pass
+                sep = None
+            if sep is not None:
+                return DeepeningVerdict(separable=True, level=level, method="separator")
         if level <= hmax:
             try:
                 tower = bounded_tower_exists(a, b, level, tower_max_nodes)

@@ -25,10 +25,8 @@ from ptsep.oracles import (
     verify_separator,
     verify_tower,
     _MASK_MAX_BITS,
-    _accepted_masks,
     _Bitmasks,
     _layout,
-    _meets,
     _PieceSets,
     _share_a_word,
 )
@@ -493,21 +491,27 @@ def test_common_word_search_matches_the_lifted_product():
         outcomes.add(expected)
         mixed += a.alphabet != b.alphabet
     assert outcomes == {True, False} and mixed > 150
+    # no pair is named, so operands whose pair names would collide in
+    # product_intersection, ("a,b", "c") and ("a", "b,c"), are answered
+    a = Nfa.build(["a,b", "a"], ["x"], [], ["a,b", "a"], ["a"])
+    b = Nfa.build(["c", "b,c"], ["x"], [], ["c", "b,c"], ["c"])
+    assert _share_a_word(a, b) and dual_deepening(a, b, 6, 5) is None
 
 
 def reference_deepening(a, b, kmax, hmax, max_nodes, tower_max_nodes):
-    """dual_deepening from the public probes: the lifted product for the
-    common word, and each separator probe run to the end by
-    separable_by_kpt."""
+    """dual_deepening from public parts: the lifted product for the common
+    word, and each separator probe as two whole profile searches, neither
+    stopped early."""
     if not language_empty(product_intersection(*lift_pair(a, b))):
         return None
     for level in range(1, max(kmax, hmax) + 1):
         if level <= kmax:
             try:
-                sep = separable_by_kpt(a, b, level, max_nodes)
+                profs_a = reachable_profiles(a, level, max_nodes)
+                separated = not (profs_a & reachable_profiles(b, level, max_nodes))
             except Inconclusive:
-                sep = None
-            if sep is not None:
+                separated = False
+            if separated:
                 return DeepeningVerdict(separable=True, level=level, method="separator")
         if level <= hmax:
             try:
@@ -542,9 +546,8 @@ def test_separator_probe_stops_at_the_first_shared_profile():
     lines += [f"trans: {q} {sym} {q}" for q in "zoe" for sym in "bcd"]
     even = aut("\n".join(lines))
     with pytest.raises(Inconclusive):
-        separable_by_kpt(odd, even, 1, max_nodes=12)
-    layout = _layout(("a", "b", "c", "d"), 1)
-    assert _meets(even, _accepted_masks(odd, 12, layout), 12, layout)
+        reachable_profiles(even, 1, max_nodes=12)
+    assert separable_by_kpt(odd, even, 1, max_nodes=12) is None
     for args in ((1, 0, 12, 50), (2, 2, 12, 50), (6, 5, 500, 5000)):
         assert dual_deepening(odd, even, *args) is None
         assert reference_deepening(odd, even, *args) is None
