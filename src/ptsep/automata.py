@@ -4,7 +4,11 @@ procedures in the rest of the package.
 
 Automata are immutable; every operation returns a fresh automaton. Each
 automaton indexes its transitions once as state -> letter -> sorted targets,
-and every graph query reads that index.
+and every graph query reads that index. A DFA keeps its dead sink implicit:
+its index lists only the moves that do not enter the sink, the sink's own
+row is empty, and a letter missing from a row moves to the sink. Its
+``transitions`` table, sink moves included, is built on first use, so
+printed automata are unchanged.
 
 Automata are checked once, where they enter the library: ``parse_automaton``,
 ``Nfa(...)``, ``Dfa(...)`` and ``Nfa.build`` check every name and transition.
@@ -13,12 +17,13 @@ An automaton the library derives from checked ones (``trim``,
 index without a second check; ``lift_alphabet`` checks only the letters its
 caller adds. The DFAs the library builds itself (subset construction,
 minimization, the MCVP instances) come from their rows, each row checked
-whole. Any other automaton indexes its transitions on first use (a DFA at
-construction, where the index doubles as the completeness check). State and
-symbol names are plain tokens (nonempty, no whitespace, no ``#``). Anything
-that can influence observable output (state naming, witness words,
-serialized text) is produced by iterating in sorted order, so results are
-reproducible across processes regardless of hash seeding.
+whole and no name checked again. Any other automaton indexes its transitions
+on first use (a DFA at construction, where the index doubles as the
+completeness check). State and symbol names are plain tokens (nonempty, no
+whitespace, no ``#``). Anything that can influence observable output (state
+naming, witness words, serialized text) is produced by iterating in sorted
+order, so results are reproducible across processes regardless of hash
+seeding.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[str, ...]
@@ -63,6 +67,23 @@ def letters_of(w: Iterable[str]) -> frozenset[str]:
     return frozenset(w)
 
 
+def _index(
+    states: Iterable[str], transitions: Iterable[Transition]
+) -> dict[str, dict[str, tuple[str, ...]]]:
+    """State -> letter -> sorted tuple of targets, with a row for every state."""
+    out: dict[str, dict[str, tuple[str, ...]]] = {q: {} for q in states}
+    many: dict[tuple[str, str], list[str]] = {}
+    for src, sym, dst in transitions:
+        row = out[src]
+        if sym in row:
+            many.setdefault((src, sym), list(row[sym])).append(dst)
+        else:
+            row[sym] = (dst,)
+    for (src, sym), dsts in many.items():
+        out[src][sym] = tuple(sorted(dsts))
+    return out
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Nondeterministic finite automaton (no epsilon moves).
@@ -82,6 +103,9 @@ class Nfa:
     transitions: frozenset[Transition]
     initial: frozenset[str]
     final: frozenset[str]
+
+    # the implicit dead sink; only a DFA has one
+    _sink = None
 
     def __post_init__(self):
         for name in self.states:
@@ -145,17 +169,12 @@ class Nfa:
         sorted tuple of targets. Every state has a row; a letter without a
         transition has no entry. Tuples of names drop out of the garbage
         collector's scans, which a large DFA's index of lists would slow."""
-        out: dict[str, dict[str, tuple[str, ...]]] = {q: {} for q in self.states}
-        many: dict[tuple[str, str], list[str]] = {}
-        for src, sym, dst in self.transitions:
-            row = out[src]
-            if sym in row:
-                many.setdefault((src, sym), list(row[sym])).append(dst)
-            else:
-                row[sym] = (dst,)
-        for (src, sym), dsts in many.items():
-            out[src][sym] = tuple(sorted(dsts))
-        return out
+        return _index(self.states, self.transitions)
+
+    def _full_out(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """The index with every transition written out; a DFA adds its sink
+        moves."""
+        return self._out
 
     @cached_property
     def _minimal(self) -> "Dfa":
@@ -164,7 +183,7 @@ class Nfa:
         return minimize(subset_construction(self))
 
     def successors(self, state: str, symbol: str) -> frozenset[str]:
-        return frozenset(self._out.get(state, {}).get(symbol, ()))
+        return self.step_set((state,), symbol)
 
     def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         out: set[str] = set()
@@ -174,10 +193,32 @@ class Nfa:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
+def _least_dead(
+    out: dict[str, dict[str, tuple[str, ...]]], final: frozenset[str], width: int
+) -> str | None:
+    """The least rejecting state whose row sends every letter back to it."""
+    return min(
+        (
+            q
+            for q, row in out.items()
+            if len(row) == width and q not in final and all(t == (q,) for t in row.values())
+        ),
+        default=None,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Dfa(Nfa):
     """Complete deterministic automaton: exactly one initial state and exactly
-    one transition per (state, symbol) pair over the declared alphabet."""
+    one transition per (state, symbol) pair over the declared alphabet.
+
+    The dead sink is implicit. ``_sink`` names the least rejecting state that
+    every letter maps back to itself, or is None when there is none; the
+    index ``_out`` lists only the moves that do not enter the sink, and the
+    sink's own row is empty. ``transitions``, sink moves included, is built
+    on first use. ``Dfa(...)``, :func:`parse_automaton` and :meth:`_from_rows`
+    all build this one form, and equality and hashing read it, so they agree
+    with a comparison of the full transition tables."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -185,7 +226,7 @@ class Dfa(Nfa):
             raise AutomatonError("a DFA declares exactly one initial state")
         # the index is built here and doubles as the check: a row per state
         # with one entry per letter, each holding exactly one target
-        out = self._out
+        out = _index(self.states, self.transitions)
         if sum(map(len, out.values())) != len(self.transitions):
             q, sym = min((q, y) for q, row in out.items() for y, ts in row.items() if len(ts) > 1)
             raise AutomatonError(f"duplicate transition for ({q}, {sym}) in a DFA")
@@ -194,6 +235,11 @@ class Dfa(Nfa):
             q = min(q for q, row in out.items() if len(row) != width)
             sym = min(self.alphabet - out[q].keys())
             raise AutomatonError(f"incomplete DFA: no transition for ({q}, {sym})")
+        sink = _least_dead(out, self.final, width)
+        if sink is not None:
+            into = (sink,)
+            out = {q: {sym: t for sym, t in row.items() if t != into} for q, row in out.items()}
+        self.__dict__.update(_out=out, _sink=sink)
 
     @classmethod
     def _from_rows(
@@ -202,44 +248,104 @@ class Dfa(Nfa):
         alphabet: frozenset[str],
         initial: Iterable[str],
         final: Iterable[str],
+        sink: str | None = None,
     ) -> "Dfa":
-        """The DFA with ``rows[q][sym]`` as the target of q under sym, equal
-        field by field to :meth:`build` on the same triples. The library's
-        own builders use it: it checks each row whole (its letters are the
-        alphabet, its targets declared states) and keeps the rows as the
-        transition index, instead of checking and indexing every transition.
-        Anything that fails a check goes to ``Dfa(...)``, which raises its
-        own message."""
+        """The DFA in which ``rows[q][sym]`` is the target of q under sym,
+        and ``sink``, whose row is empty, the target of every move a row
+        lacks. It equals ``Dfa(...)`` on the full table. The library's own
+        builders use it, and derive every name from checked ones (subset
+        members, class representatives, gate numbers), so no name is
+        checked again. The rows are checked whole (their letters are in the
+        alphabet, their targets are declared states, and without a sink
+        they are complete) and kept as the index, instead of checking and
+        indexing every transition. Anything that fails a check goes to
+        ``Dfa(...)`` on the full table, which raises its own message."""
         states, initial, final = frozenset(rows), frozenset(initial), frozenset(final)
-        transitions = frozenset(
-            chain.from_iterable(zip(repeat(q), row, row.values()) for q, row in rows.items())
-        )
         width = len(alphabet)
         if not (
             len(initial) == 1
             and initial <= states
             and final <= states
+            and (sink is None or (sink in states and sink not in final and not rows[sink]))
             and all(
-                len(row) == width and alphabet.issuperset(row) and states.issuperset(row.values())
+                (sink is not None or len(row) == width)
+                and alphabet.issuperset(row)
+                and states.issuperset(row.values())
                 for row in rows.values()
             )
         ):
-            return cls(states, alphabet, transitions, initial, final)
-        for name in states:
-            _check_token(name, "state name")
-        for name in alphabet:
-            _check_token(name, "symbol")
+            triples = {(q, sym, t) for q, row in rows.items() for sym, t in row.items()}
+            if sink is not None:
+                triples.update(
+                    (q, sym, sink) for q, row in rows.items() for sym in alphabet if sym not in row
+                )
+            return cls(states, alphabet, frozenset(triples), initial, final)
         # the index shares one 1-tuple per target state
-        single = {q: (q,) for q in states}.__getitem__
-        out = {q: dict(zip(row, map(single, row.values()))) for q, row in rows.items()}
-        return cls._handed_over(states, alphabet, transitions, initial, final, out)
+        single = {q: (q,) for q in states}
+        out = {q: dict(zip(row, map(single.__getitem__, row.values()))) for q, row in rows.items()}
+        dead = _least_dead(out, final, width)
+        if dead is not None and (sink is None or dead < sink):
+            # a rejecting state whose row loops on every letter comes before
+            # the sink: it becomes the sink, and the old sink's moves are
+            # written out
+            into, old = single[dead], (sink,)
+            out = {
+                q: {sym: t for sym in alphabet if (t := row.get(sym, old)) != into}
+                for q, row in out.items()
+            }
+            sink = dead
+        x = cls.__new__(cls)
+        x.__dict__.update(
+            states=states, alphabet=alphabet, initial=initial, final=final, _out=out, _sink=sink
+        )
+        return x
+
+    @cached_property
+    def transitions(self) -> frozenset[Transition]:
+        out, sink = self._out, self._sink
+        moves = [(q, sym, t) for q, row in out.items() for sym, (t,) in row.items()]
+        if sink is not None:
+            moves += [
+                (q, sym, sink) for q, row in out.items() for sym in self.alphabet if sym not in row
+            ]
+        return frozenset(moves)
+
+    def _full_out(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        if self._sink is None:
+            return self._out
+        into = (self._sink,)
+        return {
+            q: {sym: row.get(sym, into) for sym in self.alphabet} for q, row in self._out.items()
+        }
+
+    def _key(self) -> tuple:
+        return (self.states, self.alphabet, self.initial, self.final, self._sink)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and self._out == other._out
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def start(self) -> str:
         return next(iter(self.initial))
 
     def step(self, state: str, symbol: str) -> str:
-        return self._out[state][symbol][0]
+        targets = self._out[state].get(symbol)
+        if targets is not None:
+            return targets[0]
+        if self._sink is None or symbol not in self.alphabet:
+            raise AutomatonError(f"no transition for ({state}, {symbol})")
+        return self._sink
+
+    def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:
+        if symbol not in self.alphabet:
+            return frozenset()
+        index, into_sink = self._out, (self._sink,)
+        return frozenset([index[q].get(symbol, into_sink)[0] for q in states if q in index])
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +475,9 @@ def membership(a: Nfa, w: Word) -> bool:
 
 def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
     """Reinterpret over a larger alphabet; the language is unchanged since the
-    new symbols have no transitions. Always returns a plain Nfa. Only the
-    added letters are checked, least first."""
+    new symbols have no transitions. Always returns a plain Nfa, with a
+    DFA's sink moves written out. Only the added letters are checked, least
+    first."""
     alphabet = frozenset(alphabet)
     if not a.alphabet <= alphabet:
         raise AlphabetMismatchError("lift target must contain the current alphabet")
@@ -378,7 +485,7 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
         _check_token(sym, "symbol")
     # the new letters carry no transitions, so both share one index; the
     # minimal DFA is not shared, since the new letters need a sink
-    return Nfa._handed_over(a.states, alphabet, a.transitions, a.initial, a.final, a._out)
+    return Nfa._handed_over(a.states, alphabet, a.transitions, a.initial, a.final, a._full_out())
 
 
 def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
@@ -420,85 +527,202 @@ def _distinct_names(names: dict, what: str) -> set[str]:
 def subset_construction(a: Nfa) -> Dfa:
     """Determinize by the subset construction.
 
-    Only subsets reachable from the set of initial states are kept; the empty
-    subset acts as the rejecting sink. Subset states are named
-    ``{m1,m2,...}`` by their sorted members (the empty subset is ``{}``).
-    Raises AutomatonError when two reachable subsets would get one name.
+    Only subsets reachable from the set of initial states are kept. Subset
+    states are named ``{m1,m2,...}`` by their sorted members. The empty
+    subset ``{}`` is the rejecting sink, and no move into it is listed; a
+    DFA's own sink s stands for the empty subset, named ``{s}``. Raises
+    AutomatonError when two reachable subsets would get one name.
     """
     letters = sorted(a.alphabet)
+    dead = "{}" if a._sink is None else "{" + a._sink + "}"
 
     def name(subset: frozenset[str]) -> str:
-        return "{" + ",".join(sorted(subset)) + "}"
+        return "{" + ",".join(sorted(subset)) + "}" if subset else dead
 
-    start = frozenset(a.initial)
+    start = frozenset(a.initial) - {a._sink}
     order: list[frozenset[str]] = [start]
     names = {start: name(start)}
     rows: dict[str, dict[str, str]] = {}
     for subset in order:
         row = rows[names[subset]] = {}
         for sym in letters:
-            target = a.step_set(subset, sym)
+            # the rows as they are, so a DFA's sink moves reach the empty subset
+            target = Nfa.step_set(a, subset, sym)
+            if not target:
+                continue
             dst = names.get(target)
             if dst is None:
                 dst = names[target] = name(target)
                 order.append(target)
             row[sym] = dst
+    sink = None
+    if any(len(row) < len(letters) for row in rows.values()):
+        sink = names.setdefault(frozenset(), dead)
+        rows.setdefault(sink, {})
     _distinct_names(names, "subsets")
     final = {names[s] for s in order if s & a.final}
-    return Dfa._from_rows(rows, a.alphabet, {names[start]}, final)
+    return Dfa._from_rows(rows, a.alphabet, {names[start]}, final, sink)
+
+
+def _refinable(groups: list[list[int]], n: int):
+    """A partition of 0..n-1, starting from ``groups``, that is refined by
+    marking elements and then splitting every set with marked elements into
+    its marked and unmarked parts (Valmari and Lehtinen). Each set's elements
+    are contiguous in ``elems``, from ``first[s]`` to ``end[s]``, marked ones
+    first; a split keeps the larger part under the old number and gives the
+    smaller one the next number. Returns ``(elems, set_of, first, end, mark,
+    split)``; an element is marked at most once between splits."""
+    elems = [e for group in groups for e in group]
+    loc = [0] * n
+    set_of = [0] * n
+    first: list[int] = []
+    end: list[int] = []
+    for s, group in enumerate(groups):
+        first.append(end[-1] if end else 0)
+        end.append(first[-1] + len(group))
+        for e in group:
+            set_of[e] = s
+    for i, e in enumerate(elems):
+        loc[e] = i
+    marked = [0] * len(groups)
+    touched: list[int] = []
+
+    def mark(e: int) -> None:
+        s = set_of[e]
+        i, j = loc[e], first[s] + marked[s]
+        other = elems[j]
+        elems[i] = other
+        loc[other] = i
+        elems[j] = e
+        loc[e] = j
+        if not marked[s]:
+            touched.append(s)
+        marked[s] += 1
+
+    def split() -> None:
+        while touched:
+            s = touched.pop()
+            lo, hi = first[s], end[s]
+            j = lo + marked[s]
+            marked[s] = 0
+            if j == hi:
+                continue
+            if j - lo <= hi - j:
+                first.append(lo)
+                end.append(j)
+                first[s] = j
+                moved = elems[lo:j]
+            else:
+                first.append(j)
+                end.append(hi)
+                end[s] = j
+                moved = elems[j:hi]
+            z = len(marked)
+            marked.append(0)
+            for e in moved:
+                set_of[e] = z
+
+    return elems, set_of, first, end, mark, split
 
 
 def minimize(d: Dfa) -> Dfa:
     """The minimal complete DFA for L(d).
 
-    Unreachable states are dropped and equivalent states merged by partition
-    refinement; each merged class is named after its lexicographically least
-    member. An empty language collapses to a single non-accepting sink state.
-    When every state of ``d`` is reachable and no two are equivalent, the
-    result would equal ``d`` field by field, and ``d`` itself is returned.
+    Unreachable states are dropped and equivalent states merged; each merged
+    class is named after its lexicographically least member. The reachable
+    states from which no final state is reachable form one class, the sink
+    of the result, so an empty language collapses to a single non-accepting
+    sink state. The other states are refined over the moves between them
+    only, by the partition refinement of Valmari and Lehtinen for partial
+    DFAs: O(m log n) for m such moves. When every state of ``d`` is
+    reachable and no two are equivalent, the result would equal ``d`` field
+    by field, and ``d`` itself is returned.
     """
-    letters = sorted(d.alphabet)
     index = d._out
     start = d.start
-    # each reachable state's targets, one per letter in sorted letter order
-    rows: dict[str, tuple[str, ...]] = {}
     reachable: list[str] = [start]
-    seen = {start}
+    pred: dict[str, list[str]] = {start: []}
     for q in reachable:
-        out_q = index[q]
-        row = rows[q] = tuple([out_q[sym][0] for sym in letters])
-        for t in row:
-            if t not in seen:
-                seen.add(t)
+        for (t,) in index[q].values():
+            if t not in pred:
+                pred[t] = []
                 reachable.append(t)
+            pred[t].append(q)
+    live = [q for q in reachable if q in d.final]
+    alive = set(live)
+    for q in live:
+        for p in pred[q]:
+            if p not in alive:
+                alive.add(p)
+                live.append(p)
+    dead = pred.keys() - alive
+    width = len(d.alphabet)
+    if d._sink is not None and any(len(index[q]) < width for q in reachable):
+        dead.add(d._sink)
 
-    ordered = sorted(seen)
-    block: dict[str, int] = {q: int(q in d.final) for q in seen}
-    while True:
-        ids: dict[tuple, int] = {}
-        refined: dict[str, int] = {}
-        for q in ordered:
-            sig = (block[q], tuple([block[t] for t in rows[q]]))
-            if sig not in ids:
-                ids[sig] = len(ids)
-            refined[q] = ids[sig]
-        if refined == block:
-            break
-        block = refined
-    if len(ids) == len(seen) == len(d.states):
+    # blocks of the live states, in name order: the final and the other
+    # ones, the larger first
+    ordered = sorted(alive)
+    n = len(ordered)
+    final = [i for i, q in enumerate(ordered) if q in d.final]
+    rejecting = [i for i, q in enumerate(ordered) if q not in d.final]
+    groups = sorted((group for group in (rejecting, final) if group), key=len, reverse=True)
+    blocks, block_of, block_first, block_end, mark_state, split_blocks = _refinable(groups, n)
+    # with every block a single state there is nothing to refine
+    if len(groups) < n:
+        # cords of the moves between live states: grouped by letter at
+        # first, later split further by the blocks their heads lie in
+        number = {q: i for i, q in enumerate(ordered)}
+        tails: list[int] = []
+        by_letter: dict[str, list[int]] = {sym: [] for sym in d.alphabet}
+        into: list[list[int]] = [[] for _ in ordered]
+        for i, q in enumerate(ordered):
+            for sym, (t,) in index[q].items():
+                if t in number:
+                    by_letter[sym].append(len(tails))
+                    into[number[t]].append(len(tails))
+                    tails.append(i)
+        cords, cord_of, cord_first, cord_end, mark_move, split_cords = _refinable(
+            [group for group in by_letter.values() if group], len(tails)
+        )
+        # every cord splits the blocks by the tails of its moves, and every
+        # block but the first (the others suffice) splits the cords by the
+        # heads of theirs; a singleton cannot split, so its members are not
+        # marked
+        b, c = 1, 0
+        while c < len(cord_first):
+            for e in cords[cord_first[c] : cord_end[c]]:
+                k = block_of[tails[e]]
+                if block_end[k] - block_first[k] > 1:
+                    mark_state(tails[e])
+            split_blocks()
+            c += 1
+            while b < len(block_first):
+                for q in blocks[block_first[b] : block_end[b]]:
+                    for e in into[q]:
+                        k = cord_of[e]
+                        if cord_end[k] - cord_first[k] > 1:
+                            mark_move(e)
+                split_cords()
+                b += 1
+
+    if len(block_first) + bool(dead) == len(d.states):
         return d
-
-    representative: dict[int, str] = {}
-    for q in ordered:
-        representative.setdefault(block[q], q)
-    rename = {q: representative[block[q]] for q in seen}
+    least: dict[int, str] = {}
+    for i, q in enumerate(ordered):
+        least.setdefault(block_of[i], q)
+    rename = {q: least[block_of[i]] for i, q in enumerate(ordered)}
     # members of a class step into the same classes, so the representative's
-    # row is the class's row
+    # row is the class's row; its moves into dead states go to the sink
     classes = {
-        r: dict(zip(letters, map(rename.__getitem__, rows[r]))) for r in representative.values()
+        r: {sym: rename[t] for sym, (t,) in index[r].items() if t in rename}
+        for r in least.values()
     }
-    final = {rename[q] for q in seen if q in d.final}
-    return Dfa._from_rows(classes, d.alphabet, {rename[start]}, final)
+    sink = min(dead, default=None)
+    if sink is not None:
+        classes[sink] = {}
+    accepting = {rename[ordered[i]] for i in final}
+    return Dfa._from_rows(classes, d.alphabet, {rename.get(start, sink)}, accepting, sink)
 
 
 def _canonical_table(d: Dfa) -> tuple:
@@ -568,10 +792,10 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Synchronized product recognizing L(a) & L(b); states are reachable
     pairs named ``(p,q)``. Raises AutomatonError when two reachable pairs
     would get one name. The product's index is built as the pairs are
-    joined."""
+    joined; a DFA's sink moves take part like any other."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("product requires a shared alphabet")
-    out_a, out_b = a._out, b._out
+    out_a, out_b = a._full_out(), b._full_out()
     start_pairs = sorted((p, q) for p in a.initial for q in b.initial)
     order = list(start_pairs)
     names = {pair: f"({pair[0]},{pair[1]})" for pair in start_pairs}
@@ -614,6 +838,10 @@ def restricted_reach(a: Nfa, gamma: Iterable[str]) -> dict[str, frozenset[str]]:
         q: {t for sym, dsts in row.items() if sym in gamma for t in dsts}
         for q, row in a._out.items()
     }
+    if a._sink is not None:
+        for q, row in a._out.items():
+            if any(sym not in row for sym in gamma):
+                succ[q].add(a._sink)
     result: dict[str, frozenset[str]] = {}
     for root in a.states:
         seen = {root}
@@ -642,6 +870,7 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
 
     Each component carries the set of labels on transitions with both
     endpoints inside it; a singleton without a self-loop carries no letters.
+    A DFA's sink is a singleton that carries all of gamma, and comes last.
     """
     gamma = frozenset(gamma)
     if not gamma <= a.alphabet:
@@ -663,7 +892,7 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
         succ = {t for sym, dsts in rows[q].items() if sym in gamma for t in dsts}
         work.append((q, iter(sorted(succ))))
 
-    for root in sorted(a.states):
+    for root in sorted(a.states - {a._sink}):
         if root in index:
             continue
         visit(root)
@@ -704,29 +933,10 @@ def scc_decomposition(a: Nfa, gamma: Iterable[str]) -> list[Component]:
                     if member[t] == i:
                         inside.add(sym)
                         break
-    return [Component(frozenset(c), frozenset(l)) for c, l in zip(comps, letters)]
-
-
-def cycle_over_alphabet(
-    a: Nfa, gamma: Iterable[str], require_initial_and_final: bool = False
-) -> Component | None:
-    """A component of the ``gamma``-restricted graph whose internal letters are
-    exactly ``gamma``, or None. Such a component exists iff some state lies on
-    a cycle using every letter of ``gamma`` and no others (cycles inside one
-    component compose). With the flag set, the component must also contain an
-    initial and a final state."""
-    gamma = frozenset(gamma)
-    if not gamma:
-        raise AutomatonError("gamma must be nonempty")
-    for comp in scc_decomposition(a, gamma):
-        if comp.letters != gamma:
-            continue
-        if require_initial_and_final and not (
-            comp.states & a.initial and comp.states & a.final
-        ):
-            continue
-        return comp
-    return None
+    found = [Component(frozenset(c), frozenset(l)) for c, l in zip(comps, letters)]
+    if a._sink is not None:
+        found.append(Component(frozenset([a._sink]), gamma))
+    return found
 
 
 def self_loop_letters(d: Nfa, q: str) -> frozenset[str]:
@@ -734,6 +944,8 @@ def self_loop_letters(d: Nfa, q: str) -> frozenset[str]:
     row = d._out.get(q)
     if row is None:
         raise AutomatonError(f"unknown state {q!r}")
+    if q == d._sink:
+        return d.alphabet
     return frozenset([sym for sym, dsts in row.items() if q in dsts])
 
 
@@ -754,7 +966,8 @@ def shortest_run(
     BFS visits states and symbols in sorted order, so the same run is found on
     every invocation. ``gamma`` restricts the usable symbols and ``within``
     restricts the visitable states. A source that is already a target yields
-    the empty run.
+    the empty run. A DFA's sink moves are tried only when its sink is a
+    target: no run goes on from the sink.
     """
     allowed = frozenset(a.alphabet if gamma is None else gamma)
     inside = None if within is None else frozenset(within)
@@ -763,6 +976,12 @@ def shortest_run(
     for src in source_list:
         if src in target_set:
             return (EPSILON, (src,))
+    # a missing letter moves to the sink, so with the sink a target every
+    # allowed letter is tried
+    into_sink: tuple[str, ...] = ()
+    letters: list[str] = []
+    if a._sink in target_set and (inside is None or a._sink in inside):
+        into_sink, letters = (a._sink,), sorted(allowed)
     parent: dict[str, tuple[str, str]] = {}
     seen = set(source_list)
     queue = deque(source_list)
@@ -770,8 +989,8 @@ def shortest_run(
     while queue:
         q = queue.popleft()
         row = index[q]
-        for sym in sorted(row.keys() & allowed):
-            for nxt in row[sym]:
+        for sym in letters or sorted(row.keys() & allowed):
+            for nxt in row.get(sym, into_sink):
                 if nxt in seen or (inside is not None and nxt not in inside):
                     continue
                 seen.add(nxt)
@@ -814,11 +1033,12 @@ def closed_run_covering_word(
         raise AutomatonError("target word uses letters outside gamma")
 
     index = a._out
+    into_sink = (a._sink,)
     word: list[str] = []
 
     def entered(src: str, sym: str) -> list[str]:
         # the component's states that a sym edge from src enters, sorted
-        return [t for t in index[src].get(sym, ()) if t in comp.states]
+        return [t for t in index[src].get(sym, into_sink) if t in comp.states]
 
     def chase(current: str, sym: str) -> str:
         # append a shortest connector to some sym edge and the edge's letter;

@@ -7,6 +7,12 @@ automaton walks gate certificates downwards from the output gate; the second
 loops certificate-shaped rounds and forces both operands of every AND that
 gets asserted. A padded variant of the first automaton is minimal as given,
 so the pair also exercises decision procedures that insist on minimal input.
+
+Both automata are complete DFAs over about 4n letters, so their transition
+tables have Θ(n²) entries, yet only O(n) moves avoid the dead state "sink".
+The builders hand over just those moves, and the sink stays implicit
+(:class:`~ptsep.automata.Dfa`); the full tables are written out only when
+an automaton is printed.
 """
 
 from __future__ import annotations
@@ -142,36 +148,17 @@ def _operand_target(c: Circuit, ref: int) -> str:
     return str(ref)
 
 
-def _complete(
-    states: set[str],
-    alphabet: frozenset[str],
-    table: dict[tuple[str, str], str],
-    initial: str,
-    final: set[str],
-) -> Dfa:
-    """Close a partial transition table with a dead sink: every row starts
-    with all letters into the sink, and the table is written over it."""
-    sink = "sink"
-    assert sink not in states
-    into_sink = dict.fromkeys(alphabet, sink)
-    rows = {q: into_sink.copy() for q in states | {sink}}
-    for (q, sym), t in table.items():
-        rows[q][sym] = t
-    return Dfa._from_rows(rows, alphabet, {initial}, final)
-
-
-def _certificate_table(c: Circuit) -> tuple[set[str], dict[tuple[str, str], str]]:
-    """The certificate walker's states and its partial transition table, which
-    both walkers complete with a sink."""
-    states = {"s", "T", "F"} | {str(i) for i in range(1, c.n + 1) if c.gates[i - 1].kind != "const"}
-    table: dict[tuple[str, str], str] = {("s", "x"): _operand_target(c, c.n), ("T", "y"): "s"}
-    for i in range(1, c.n + 1):
-        g = c.gates[i - 1]
-        if g.kind == "const":
-            continue
-        table[(str(i), f"a{i}")] = _operand_target(c, g.left)
-        table[(str(i), f"b{i}")] = _operand_target(c, g.right)
-    return states, table
+def _certificate_rows(c: Circuit) -> dict[str, dict[str, str]]:
+    """The certificate walker's rows. Every letter a row lacks leads to the
+    dead state "sink", whose row is empty."""
+    rows = {"s": {"x": _operand_target(c, c.n)}, "T": {"y": "s"}, "F": {}, "sink": {}}
+    for i, g in enumerate(c.gates, start=1):
+        if g.kind != "const":
+            rows[str(i)] = {
+                f"a{i}": _operand_target(c, g.left),
+                f"b{i}": _operand_target(c, g.right),
+            }
+    return rows
 
 
 def build_certificate_dfa(c: Circuit) -> Dfa:
@@ -183,8 +170,7 @@ def build_certificate_dfa(c: Circuit) -> Dfa:
     returns to s, so accepted words chain certificate rounds; both T and F
     accept, as reaching F just means a round bottomed out at a false constant.
     """
-    states, table = _certificate_table(c)
-    return _complete(states, circuit_alphabet(c), table, "s", {"T", "F"})
+    return Dfa._from_rows(_certificate_rows(c), circuit_alphabet(c), {"s"}, {"T", "F"}, "sink")
 
 
 def build_round_dfa(c: Circuit) -> Dfa:
@@ -197,20 +183,17 @@ def build_round_dfa(c: Circuit) -> Dfa:
     close every round, so going through k rounds of valid certificates stays
     inside the language.
     """
-    alphabet = circuit_alphabet(c)
-    states = {"q", "t"}
-    table: dict[tuple[str, str], str] = {("q", "x"): "t", ("t", "y"): "q"}
-    for i in range(1, c.n + 1):
-        g = c.gates[i - 1]
+    rows: dict[str, dict[str, str]] = {"q": {"x": "t"}, "t": {"y": "q"}, "sink": {}}
+    mid = rows["t"]
+    for i, g in enumerate(c.gates, start=1):
         if g.kind == "and":
             wait = f"w{i}"
-            states.add(wait)
-            table[("t", f"a{i}")] = wait
-            table[(wait, f"b{i}")] = "t"
+            mid[f"a{i}"] = wait
+            rows[wait] = {f"b{i}": "t"}
         elif g.kind == "or" or (g.kind == "const" and g.value == 1):
-            table[("t", f"a{i}")] = "t"
-            table[("t", f"b{i}")] = "t"
-    return _complete(states, alphabet, table, "q", {"q"})
+            mid[f"a{i}"] = "t"
+            mid[f"b{i}"] = "t"
+    return Dfa._from_rows(rows, circuit_alphabet(c), {"q"}, {"q"}, "sink")
 
 
 def build_padded_certificate_dfa(c: Circuit) -> Dfa:
@@ -224,20 +207,19 @@ def build_padded_certificate_dfa(c: Circuit) -> Dfa:
     not minimal, which would break the guarantee callers rely on.
     """
     n = c.n
-    states, table = _certificate_table(c)
+    rows = _certificate_rows(c)
     alphabet = circuit_alphabet(c) | {f"f{j}" for j in range(1, 2 * n + 1)}
-    for i in range(1, n):
-        if c.gates[i - 1].kind != "const":
-            table[("s", f"f{i}")] = str(i)
-    for i in range(1, n + 1):
-        if c.gates[i - 1].kind != "const":
-            table[(str(i), f"f{n - 1 + i}")] = "F"
-    table[("F", f"f{2 * n}")] = "T"
+    for i, g in enumerate(c.gates, start=1):
+        if g.kind != "const":
+            if i < n:
+                rows["s"][f"f{i}"] = str(i)
+            rows[str(i)][f"f{n - 1 + i}"] = "F"
+    rows["F"][f"f{2 * n}"] = "T"
     if all(g.kind == "const" for g in c.gates):
         # No gate state feeds F, and x skips it when the output constant is
         # true, so reach it through an otherwise unused padding letter.
-        table[("s", "f1")] = "F"
-    padded = _complete(states, alphabet, table, "s", {"T", "F"})
+        rows["s"]["f1"] = "F"
+    padded = Dfa._from_rows(rows, alphabet, {"s"}, {"T", "F"}, "sink")
     if len(minimize(padded).states) != len(padded.states):
         raise MinimalityViolation("padded certificate automaton is not minimal")
     return padded

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import piecewise
-from .automata import Dfa, Nfa, Word, lift_pair, membership, minimize
+from .automata import AlphabetMismatchError, Dfa, Nfa, Word, membership, minimize
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_TOWER_MAX_NODES = 2_000_000
@@ -163,9 +163,9 @@ def profile_k(w: Word, k: int) -> KProfile:
 def _live(d: Dfa) -> frozenset[str]:
     """The states of a minimal DFA from which acceptance is still possible.
     Minimality merges every dead state into one, a rejecting state whose
-    every letter loops back to it; all other states are live."""
-    sinks = {q for q in d.states - d.final if all(t == (q,) for t in d._out[q].values())}
-    return d.states - sinks
+    every letter loops back to it, which is the DFA's sink; all other states
+    are live."""
+    return d.states - {d._sink}
 
 
 def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
@@ -187,8 +187,10 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
     Where the masks would pass _MASK_MAX_BITS bits, the profile is the
     piece set itself (:func:`_layout`), and the search is the same."""
     grow = layout.grow
+    letters = sorted(d.alphabet)
+    into_sink = (d._sink,)
     edges = {
-        q: [(t, grow[sym]) for sym in sorted(d.alphabet) if (t := row[sym][0]) in allowed]
+        q: [(t, grow[sym]) for sym in letters if (t := row.get(sym, into_sink)[0]) in allowed]
         for q, row in d._out.items()
     }
     root = (d.start, layout.root)
@@ -279,13 +281,20 @@ class Tower:
 
 
 def verify_tower(t: Tower, a: Nfa, b: Nfa) -> bool:
-    """Check the subsequence chain and the alternating memberships."""
+    """Check the subsequence chain and the alternating memberships, over
+    the union of the two alphabets: a word with a letter of the other
+    alphabet only is not in an automaton's language."""
     if t.start_side not in ("A", "B") or not t.words:
         return False
-    a, b = lift_pair(a, b)
+    union = a.alphabet | b.alphabet
     for i, w in enumerate(t.words):
-        on_a = (t.start_side == "A") == (i % 2 == 0)
-        if not membership(a if on_a else b, w):
+        aut = a if (t.start_side == "A") == (i % 2 == 0) else b
+        if not aut.alphabet.issuperset(w):
+            foreign = [sym for sym in w if sym not in union]
+            if foreign:
+                raise AlphabetMismatchError(f"symbol {foreign[0]!r} is not in the alphabet")
+            return False
+        if not membership(aut, w):
             return False
     return all(subsequence(u, w) for u, w in zip(t.words, t.words[1:]))
 

@@ -93,13 +93,18 @@ def condition2_triple(d: Dfa) -> Triple | None:
     common self-loop alphabet gamma that a third state reaches within gamma,
     p is the least such state, found by two backward searches over in-edges
     (self-loops dropped): O(n + |delta|) per pair, O(n^2 (n + |delta|)) in
-    all. The witness words are shortest runs."""
+    all. The in-edges are read off the rows, the sink's from the letters
+    each row lacks. The witness words are shortest runs."""
     states = sorted(d.states)
     loops = {q: self_loop_letters(d, q) for q in states}
     into: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
-    for src, sym, dst in d.transitions:
-        if src != dst:
-            into[dst].append((sym, src))
+    letters = sorted(d.alphabet)
+    for src, row in d._out.items():
+        for sym, (dst,) in row.items():
+            if src != dst:
+                into[dst].append((sym, src))
+        if d._sink is not None and src != d._sink and len(row) < len(letters):
+            into[d._sink].extend((sym, src) for sym in letters if sym not in row)
 
     def reaching(target: str, gamma: frozenset[str]) -> set[str]:
         seen, queue = {target}, [target]

@@ -191,10 +191,11 @@ def _anchor_gammas(a: Nfa, b: Nfa) -> list[tuple[str, str, frozenset[str]]]:
 
 
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
-    """Trim both automata (lifting them to the union alphabet first) and
-    derive the anchor relations, in sorted (r_a, r_b) order."""
-    a, b = lift_pair(a, b)
-    a, b = trim(a), trim(b)
+    """Trim both automata, lift them to the union alphabet and derive the
+    anchor relations, in sorted (r_a, r_b) order. Trimming ignores letters
+    without moves, so this equals trimming the lifted pair, and a DFA's
+    sink is dropped before the lift would write out its moves."""
+    a, b = lift_pair(trim(a), trim(b))
 
     reach_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
     reach_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}

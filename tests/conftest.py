@@ -12,7 +12,7 @@ import random
 import textwrap
 from collections import deque
 
-from ptsep.automata import Nfa, Word, parse_automaton
+from ptsep.automata import Dfa, Nfa, Word, parse_automaton
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -46,6 +46,91 @@ def random_nfa(rng: random.Random, max_states: int = 6, letters=("a", "b", "c"))
     return Nfa.build(
         states=states, alphabet=alpha, transitions=trans, initial=initial, final=final
     )
+
+
+DFA_KINDS = ("no sink", "one sink", "dead states")
+
+
+def random_dfa(rng: random.Random, kind: str, letters=("a", "b", "c")) -> Dfa:
+    """A random complete DFA as a full table. "no sink": no rejecting state
+    loops on every letter. "one sink": one such state, z, entered from some
+    states. "dead states": the rejecting absorbing states y and z, a
+    rejecting two-cycle d0, d1 that only leads to them, and sometimes no
+    final state at all (the empty language). Some states may be
+    unreachable."""
+    alpha = letters[: rng.randint(1, len(letters))]
+    n = rng.randint(1, 6)
+    live = [f"q{i}" for i in range(n)]
+    dead = {"no sink": [], "one sink": ["z"], "dead states": ["d0", "d1", "y", "z"]}[kind]
+    final = {q for q in live if rng.random() < 0.4}
+    if kind == "dead states" and rng.random() < 0.3:
+        final = set()
+    step = {}
+    for q in live:
+        for sym in alpha:
+            step[q, sym] = rng.choice(live + dead if rng.random() < 0.3 else live)
+    for sym in alpha:
+        if kind != "no sink":
+            step["z", sym] = "z"
+        if kind == "dead states":
+            step["y", sym] = "y"
+            step["d0", sym] = "d1"
+            step["d1", sym] = rng.choice(["d0", "y", "z"])
+    if kind == "no sink":
+        # a rejecting state that loops on everything gets an exit
+        for q in live:
+            if q not in final and all(step[q, sym] == q for sym in alpha):
+                if n == 1:
+                    final.add(q)
+                else:
+                    step[q, alpha[0]] = live[(live.index(q) + 1) % n]
+    triples = [(q, sym, t) for (q, sym), t in step.items()]
+    return Dfa.build(live + dead, alpha, triples, [rng.choice(live)], final)
+
+
+def reference_minimize(d: Dfa) -> Dfa:
+    """Moore's partition refinement over the complete rows, the referee of
+    ``minimize``: rounds refine the blocks by (block, block of each
+    successor) until stable; classes are named by their least member, and a
+    DFA that is already minimal is returned as it is."""
+    letters = sorted(d.alphabet)
+    index = {(src, sym): dst for src, sym, dst in d.transitions}
+    start = next(iter(d.initial))
+    rows: dict[str, tuple[str, ...]] = {}
+    reachable: list[str] = [start]
+    seen = {start}
+    for q in reachable:
+        row = rows[q] = tuple([index[q, sym] for sym in letters])
+        for t in row:
+            if t not in seen:
+                seen.add(t)
+                reachable.append(t)
+
+    ordered = sorted(seen)
+    block: dict[str, int] = {q: int(q in d.final) for q in seen}
+    while True:
+        ids: dict[tuple, int] = {}
+        refined: dict[str, int] = {}
+        for q in ordered:
+            sig = (block[q], tuple([block[t] for t in rows[q]]))
+            if sig not in ids:
+                ids[sig] = len(ids)
+            refined[q] = ids[sig]
+        if refined == block:
+            break
+        block = refined
+    if len(ids) == len(seen) == len(d.states):
+        return d
+
+    representative: dict[int, str] = {}
+    for q in ordered:
+        representative.setdefault(block[q], q)
+    rename = {q: representative[block[q]] for q in seen}
+    triples = [
+        (r, sym, rename[t]) for r in representative.values() for sym, t in zip(letters, rows[r])
+    ]
+    final = {rename[q] for q in seen if q in d.final}
+    return Dfa.build(representative.values(), d.alphabet, triples, {rename[start]}, final)
 
 
 def _adjacency(a: Nfa) -> dict[tuple[str, str], set[str]]:
@@ -123,6 +208,36 @@ def has_exact_cycle(a: Nfa, q: str, gamma: frozenset[str]) -> bool:
                 if node not in seen:
                     seen.add(node)
                     queue.append(node)
+    return False
+
+
+def has_initial_final_cycle(a: Nfa, gamma: frozenset[str]) -> bool:
+    """Do an initial and a final state lie on one closed run whose letter set
+    is exactly gamma? Closed runs through a state compose, so this holds iff
+    some initial state i reaches a final state and back over gamma, and every
+    letter of gamma labels an edge between two states that i reaches and
+    that reach i over gamma."""
+    if not gamma:
+        return False
+    adj = _adjacency(a)
+
+    def reach(q: str) -> set[str]:
+        seen, todo = {q}, [q]
+        while todo:
+            s = todo.pop()
+            for sym in gamma:
+                for t in adj.get((s, sym), ()):
+                    if t not in seen:
+                        seen.add(t)
+                        todo.append(t)
+        return seen
+
+    for i in a.initial:
+        loop = {q for q in reach(i) if i in reach(q)}
+        if loop & a.final and all(
+            any(t in loop for q in loop for t in adj.get((q, sym), ())) for sym in gamma
+        ):
+            return True
     return False
 
 

@@ -13,9 +13,8 @@ import time
 
 import pytest
 
-from conftest import aut, brute_language, check_tower, random_nfa
+from conftest import aut, brute_language, check_tower, has_initial_final_cycle, random_nfa
 from ptsep.automata import (
-    cycle_over_alphabet,
     language_empty,
     minimize,
     parse_automaton,
@@ -231,7 +230,7 @@ def test_criterion_3_instance_structure(circuit_corpus):
         gamma = certificate_cycle_alphabet(c)
         if row["value"]:
             for machine in (cert, rounds, padded):
-                if cycle_over_alphabet(machine, gamma, require_initial_and_final=True) is None:
+                if not has_initial_final_cycle(machine, gamma):
                     failures.append((i, "missing cycle"))
         elif gamma:
             failures.append((i, "gamma for false circuit"))

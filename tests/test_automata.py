@@ -3,13 +3,17 @@ import random
 import pytest
 
 from conftest import (
+    DFA_KINDS,
     aut,
     brute_accepts,
     brute_language,
     has_exact_cycle,
+    has_initial_final_cycle,
     is_subsequence,
     nonempty_subsets,
+    random_dfa,
     random_nfa,
+    reference_minimize,
     words_up_to,
 )
 from ptsep.automata import (
@@ -19,7 +23,6 @@ from ptsep.automata import (
     Nfa,
     ParseError,
     closed_run_covering_word,
-    cycle_over_alphabet,
     equivalent,
     language_empty,
     letters_of,
@@ -299,6 +302,109 @@ def test_dfas_built_from_rows_equal_the_triple_path():
             assert type(built) is Dfa and built == ref and built._out == ref._out
 
 
+def _expected_sink(d: Dfa) -> str | None:
+    """The least rejecting state that loops on every letter, read off the
+    full table."""
+    loops = {q: {sym for src, sym, t in d.transitions if src == q == t} for q in d.states}
+    return min((q for q in d.states - d.final if loops[q] == d.alphabet), default=None)
+
+
+def _random_dfas(seed: int, count: int):
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_dfa(rng, DFA_KINDS[i % len(DFA_KINDS)])
+
+
+def test_dfa_constructors_agree_on_the_implicit_sink():
+    sinks = set()
+    for d in _random_dfas(31, 600):
+        triples = set(d.transitions)
+        sink = _expected_sink(d)
+        sinks.add(sink)
+        full = {q: {} for q in d.states}
+        for q, sym, t in triples:
+            full[q][sym] = t
+        partial = {q: {sym: t for sym, t in row.items() if t != sink} for q, row in full.items()}
+        built = [
+            Dfa(d.states, d.alphabet, frozenset(triples), d.initial, d.final),
+            parse_automaton(serialize_automaton(d)),
+            Dfa._from_rows(full, d.alphabet, d.initial, d.final),
+            Dfa._from_rows(partial, d.alphabet, d.initial, d.final, sink),
+        ]
+        # a sink that is not the least such state is replaced by the least
+        others = [q for q in d.states - d.final if q != sink and set(full[q].values()) == {q}]
+        for other in others:
+            named = {q: {sym: t for sym, t in row.items() if t != other} for q, row in full.items()}
+            built.append(Dfa._from_rows(named, d.alphabet, d.initial, d.final, other))
+        for x in built:
+            assert type(x) is Dfa
+            assert x == d and hash(x) == hash(d)
+            assert x._out == d._out and x._sink == d._sink == sink
+            assert x.transitions == triples
+            assert serialize_automaton(x) == serialize_automaton(d)
+        assert d._out == {q: {sym: (t,) for sym, t in row.items()} for q, row in partial.items()}
+    # no sink, the sink z, and y chosen over z (or a lone rejecting state)
+    assert {None, "y", "z"} < sinks
+
+
+def test_dfa_queries_read_the_sink_as_the_full_table_does():
+    for d in _random_dfas(32, 300):
+        full = Nfa(d.states, d.alphabet, d.transitions, d.initial, d.final)
+        sink = d._sink
+        for q in sorted(d.states):
+            assert self_loop_letters(d, q) == self_loop_letters(full, q)
+            for sym in sorted(d.alphabet):
+                assert d.successors(q, sym) == full.successors(q, sym) == {d.step(q, sym)}
+        for sym in sorted(d.alphabet):
+            assert d.step_set(d.states, sym) == full.step_set(d.states, sym)
+        assert d.successors(d.start, "foreign") == d.step_set({d.start}, "foreign") == set()
+        if sink is not None:
+            assert self_loop_letters(d, sink) == d.alphabet
+            assert all(d.step(sink, sym) == sink for sym in d.alphabet)
+            for q in sorted(d.states):
+                assert shortest_run(d, {q}, {sink}) == shortest_run(full, {q}, {sink})
+        for gamma in nonempty_subsets(d.alphabet):
+            assert restricted_reach(d, gamma) == restricted_reach(full, gamma)
+            comps = scc_decomposition(d, gamma)
+            assert set(comps) == set(scc_decomposition(full, gamma))
+            if sink is not None:
+                assert comps[-1].states == {sink} and comps[-1].letters == gamma
+        for w in words_up_to(d.alphabet, 3):
+            assert membership(d, w) == membership(full, w)
+        assert subset_construction(d) == subset_construction(full)
+        assert trim(d) == trim(full) and trim(d)._out == trim(full)._out
+
+
+def test_dfa_lift_and_product_write_the_sink_moves_out():
+    dfas = list(_random_dfas(33, 300))
+    lifted = [lift_alphabet(d, "abcd") for d in dfas]
+    products = [product_intersection(x, y) for x, y in zip(lifted, lifted[1:])]
+    for d, x in zip(dfas, lifted):
+        ref = Nfa(d.states, frozenset("abcd"), d.transitions, d.initial, d.final)
+        assert type(x) is Nfa and x == ref and x._out == ref._out
+    for x, y in zip(dfas, dfas[1:]):
+        if x.alphabet == y.alphabet:
+            full = [Nfa(d.states, d.alphabet, d.transitions, d.initial, d.final) for d in (x, y)]
+            product = product_intersection(x, y)
+            ref = product_intersection(*full)
+            assert product == ref and product._out == ref._out
+            products.append(product)
+    for x in products:
+        ref = Nfa(x.states, x.alphabet, x.transitions, x.initial, x.final)
+        assert type(x) is Nfa and x == ref and x._out == ref._out
+
+
+def test_token_checks_stay_with_the_public_constructor():
+    for bad, what in (("a b", "symbol"), ("x#", "state name")):
+        states, alphabet = ({"p"}, {bad}) if what == "symbol" else ({"p", bad}, {"a"})
+        triples = {(q, sym, q) for q in states for sym in alphabet}
+        with pytest.raises(AutomatonError) as exc:
+            Dfa.build(states, alphabet, triples, {"p"}, set())
+        assert str(exc.value) == (
+            f"invalid {what} {bad!r}: names are nonempty tokens without whitespace or '#'"
+        )
+
+
 def test_rows_constructor_rejects_what_the_public_constructor_rejects():
     ab = frozenset("ab")
     good = {"p": {"a": "q", "b": "p"}, "q": {"a": "q", "b": "q"}}
@@ -307,24 +413,40 @@ def test_rows_constructor_rejects_what_the_public_constructor_rejects():
         ({**good, "q": {"a": "q", "b": "q", "c": "p"}}, ab, {"p"}, {"q"}),  # foreign letter
         ({**good, "q": {"a": "q", "c": "p"}}, ab, {"p"}, {"q"}),  # one in place of b
         ({**good, "q": {"a": "r", "b": "q"}}, ab, {"p"}, {"q"}),  # undeclared target
-        ({**good, "q#": {"a": "q", "b": "q"}}, ab, {"p"}, {"q"}),  # bad state token
-        ({"p": {"a b": "p"}}, frozenset({"a b"}), {"p"}, {"p"}),  # bad symbol token
         (good, ab, set(), {"q"}),  # no initial state
         (good, ab, {"p", "q"}, {"q"}),  # two initial states
         (good, ab, {"r"}, {"q"}),  # undeclared initial state
         (good, ab, {"p"}, {"r"}),  # undeclared final state
     ]
-    for rows, alphabet, initial, final in cases:
+    # partial rows whose missing moves lead to a sink
+    cases = [(*case, None) for case in cases] + [
+        ({"p": {"a": "q"}, "q": {"c": "p"}, "z": {}}, ab, {"p"}, {"q"}, "z"),  # foreign letter
+        ({"p": {"a": "p"}}, ab, {"p"}, {"p"}, "z"),  # undeclared sink
+    ]
+    for rows, alphabet, initial, final, sink in cases:
         triples = {(q, sym, t) for q, row in rows.items() for sym, t in row.items()}
+        if sink is not None:
+            triples |= {(q, sym, sink) for q, row in rows.items() for sym in alphabet - row.keys()}
         messages = []
         for build in (
             lambda: Dfa.build(rows, alphabet, triples, initial, final),
-            lambda: Dfa._from_rows(rows, alphabet, initial, final),
+            lambda: Dfa._from_rows(rows, alphabet, initial, final, sink),
         ):
             with pytest.raises(AutomatonError) as exc:
                 build()
             messages.append(str(exc.value))
         assert messages[0] == messages[1], messages
+
+
+def test_minimize_agrees_with_moore_refinement_on_complete_rows():
+    rebuilt = 0
+    for d in _random_dfas(34, 1000):
+        m, ref = minimize(d), reference_minimize(d)
+        assert type(m) is Dfa and m == ref and m._out == ref._out and m._sink == ref._sink
+        assert (m is d) == (ref is d)
+        assert minimize(m) is m
+        rebuilt += m is not d
+    assert 100 < rebuilt < 1000
 
 
 def test_minimize_preserves_language_and_is_minimal():
@@ -547,20 +669,21 @@ def test_scc_decomposition_partition_letters_and_topology():
                     assert comp.states <= table[q]
 
 
-def test_cycle_over_alphabet_agrees_with_product_search():
+def test_scc_letters_agree_with_product_search():
+    # some component carries exactly gamma iff some state lies on a cycle
+    # whose letter set is exactly gamma
     rng = random.Random(17)
     for _ in range(60):
         a = random_nfa(rng, max_states=5)
         for gamma in nonempty_subsets(a.alphabet):
-            comp = cycle_over_alphabet(a, gamma)
-            expected = any(has_exact_cycle(a, q, gamma) for q in a.states)
-            assert (comp is not None) == expected
-            if comp is not None:
-                assert comp.letters == gamma
-                assert any(has_exact_cycle(a, q, gamma) for q in comp.states)
+            comps = [c for c in scc_decomposition(a, gamma) if c.letters == gamma]
+            assert bool(comps) == any(has_exact_cycle(a, q, gamma) for q in a.states)
+            for comp in comps:
+                assert all(has_exact_cycle(a, q, gamma) for q in comp.states)
 
 
-def test_cycle_over_alphabet_initial_final_flag():
+def test_initial_final_cycle_helper():
+    # the brute-force counterpart of the MCVP instances' cycle check
     a = aut(
         """
         kind: nfa
@@ -574,14 +697,12 @@ def test_cycle_over_alphabet_initial_final_flag():
         trans: f b f
         """
     )
-    # the {a,b} cycle through s,m misses the final state; the one at f works
-    comp = cycle_over_alphabet(a, {"a", "b"}, require_initial_and_final=True)
-    assert comp is None
+    # the {a,b} cycle through s,m misses the final state
+    assert not has_initial_final_cycle(a, frozenset("ab"))
     b = Nfa(a.states, a.alphabet, a.transitions, a.initial, frozenset({"s", "f"}))
-    comp = cycle_over_alphabet(b, {"a", "b"}, require_initial_and_final=True)
-    assert comp is not None and "s" in comp.states
-    with pytest.raises(AutomatonError):
-        cycle_over_alphabet(a, frozenset())
+    assert has_initial_final_cycle(b, frozenset("ab"))
+    assert not has_initial_final_cycle(b, frozenset("a"))
+    assert not has_initial_final_cycle(b, frozenset())
 
 
 def test_self_loop_letters():

@@ -12,7 +12,9 @@ verdict, witness, tower or minimal DFA changed. Covered:
 - the 1000 seed-4242 NFAs: ``is_pt_nfa`` (verdict, witness and minimal DFA),
   and ``pt_bounded(minimal DFA, 4, n)`` for n = 1000 and 50;
 - the MCVP instances of ``random_circuit(n, seed)`` for n = 40, 80, 160, 320
-  and seeds 0 and 1: the serialized padded walker and round counter.
+  and seeds 0 and 1: the serialized padded walker and round counter, and
+  ``decide_separability`` on them with its pattern witness and
+  ``towers_from_pattern(., 4)``.
 
 An oracle that runs out of budget is dumped as its ``Inconclusive`` message.
 
@@ -88,6 +90,11 @@ def instances():
     for n in (40, 80, 160, 320):
         for seed in (0, 1):
             yield f"mcvp-{n}-{seed}", canonical(instance_pair(random_circuit(n, seed)))
+    for n in (40, 80, 160, 320):
+        for seed in (0, 1):
+            v = decide_separability(*instance_pair(random_circuit(n, seed)))
+            tower = None if v.witness is None else towers_from_pattern(v.witness, 4)
+            yield f"mcvp-verdict-{n}-{seed}", canonical((v, tower))
 
 
 def digest(text: str) -> str:

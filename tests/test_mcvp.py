@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from conftest import brute_language
+from conftest import brute_language, has_initial_final_cycle
 from ptsep.automata import (
     Dfa,
-    cycle_over_alphabet,
     language_empty,
     lift_alphabet,
     membership,
@@ -214,12 +213,12 @@ def test_instance_builders_equal_the_triple_path():
 
 
 def test_self_check_catches_an_unreachable_state(monkeypatch):
-    complete = mcvp._complete
+    rows = mcvp._certificate_rows
 
-    def with_ghost(states, alphabet, table, initial, final):
-        return complete(states | {"ghost"}, alphabet, table, initial, final)
+    def with_ghost(c):
+        return {**rows(c), "ghost": {}}
 
-    monkeypatch.setattr(mcvp, "_complete", with_ghost)
+    monkeypatch.setattr(mcvp, "_certificate_rows", with_ghost)
     with pytest.raises(MinimalityViolation):
         build_padded_certificate_dfa(parse_circuit(FALSE_AND_CHAIN))
 
@@ -289,7 +288,7 @@ def test_cycle_alphabet_is_enacted_by_both_automata():
         padded, rounds = instance_pair(c)
         cert = build_certificate_dfa(c)
         for machine in (cert, padded, rounds):
-            assert cycle_over_alphabet(machine, gamma, require_initial_and_final=True)
+            assert has_initial_final_cycle(machine, gamma)
 
 
 # ------------------------------------------------------------ the reduction
@@ -323,6 +322,22 @@ def test_instance_pair_separable_iff_circuit_false():
         if v.witness is not None:
             assert verify_pattern(v.witness, walker, rounds), (n, seed)
     assert values == [True, False] * 3
+
+
+def test_instances_at_640_gates_keep_their_ground_truth():
+    # the implicit sink keeps instances with 4n letters linear in n, so the
+    # circuit value referees the verdict at a size the full tables made slow
+    values = []
+    for seed in range(4):
+        c = random_circuit(640, seed)
+        walker, rounds = instance_pair(c)
+        assert minimize(walker) is walker, seed
+        v = decide_separability(walker, rounds)
+        values.append(evaluate(c))
+        assert v.separable == (not values[-1]), seed
+        if v.witness is not None:
+            assert verify_pattern(v.witness, walker, rounds), seed
+    assert True in values and False in values
 
 
 # -------------------------------------------------------------- random circuits

@@ -388,6 +388,21 @@ def test_verify_tower_rejects_broken_chains():
     )
 
 
+def test_verify_tower_reads_words_over_the_union_alphabet():
+    # as on the lifted pair: a letter of the other alphabet only rejects the
+    # word, a letter outside both raises
+    a, b = aut(AA_PLUS), aut(BB_PLUS)
+    wide_a, wide_b = lift_pair(a, b)
+    for u in itertools.product("ab", repeat=2):
+        for w in itertools.product("ab", repeat=3):
+            expected = automata.membership(wide_a, u) and automata.membership(wide_b, u + w)
+            assert verify_tower(Tower((u, u + w), "A"), a, b) == (
+                expected and is_subsequence(u, u + w)
+            )
+    with pytest.raises(automata.AlphabetMismatchError, match="'c'"):
+        verify_tower(Tower((("a",), ("b", "c")), "A"), a, b)
+
+
 def test_towers_verify_on_random_pairs():
     rng = random.Random(33)
     found = 0
