@@ -2,24 +2,26 @@
 operations, and the alphabet-restricted graph queries behind the decision
 procedures in the rest of the package.
 
-Automata are immutable; every operation returns a fresh automaton. Each
-automaton indexes its transitions once as state -> letter -> sorted targets,
-and every graph query reads that index. A DFA keeps its dead sink implicit:
-its index lists only the moves that do not enter the sink, the sink's own
-row is empty, and a letter missing from a row moves to the sink. Its
-``transitions`` table, sink moves included, is built on first use, so
-printed automata are unchanged.
+Automata are immutable; every operation returns a fresh automaton. What
+an automaton holds is one transition index, state -> letter -> sorted
+targets, which every graph query reads, and its implicit dead sink. Only a
+DFA has a sink: its index lists only the moves that do not enter the sink,
+the sink's own row is empty, and a letter missing from a row moves to the
+sink. The ``transitions`` table, sink moves included, is derived from the
+index on first use, so printed automata are unchanged.
 
-Automata are checked once, where they enter the library: ``parse_automaton``,
-``Nfa(...)``, ``Dfa(...)`` and ``Nfa.build`` check every name and transition.
-An automaton the library derives from checked ones (``trim``,
-``lift_alphabet``, ``product_intersection``) is handed its fields and its
-index without a second check; ``lift_alphabet`` checks only the letters its
-caller adds. The DFAs the library builds itself (subset construction,
-minimization, the MCVP instances) come from their rows, each row checked
-whole and no name checked again. Any other automaton indexes its transitions
-on first use (a DFA at construction, where the index doubles as the
-completeness check). State and symbol names are plain tokens (nonempty, no
+Automata are checked once, where they enter the library.
+``parse_automaton`` checks every name and move of the text, with line
+numbers. ``Nfa(...)``, ``Dfa(...)`` and ``Nfa.build`` check every name and
+transition they are given and keep that table; a DFA indexes it at
+construction, where the index doubles as the completeness check, and an
+NFA on first use. Every other automaton is handed its index without a
+second check: a parsed NFA, and the automata derived from checked ones
+(``trim``, ``lift_alphabet``, ``product_intersection``); ``lift_alphabet``
+checks only the letters its caller adds. A parsed DFA and the DFAs the
+library builds itself (subset construction, minimization, the MCVP
+instances) come from their rows, each row checked whole and no name
+checked again. State and symbol names are plain tokens (nonempty, no
 whitespace, no ``#``). Anything that can influence observable output (state
 naming, witness words, serialized text) is produced by iterating in sorted
 order, so results are reproducible across processes regardless of hash
@@ -62,11 +64,6 @@ def _check_token(token: str, what: str) -> None:
         )
 
 
-def letters_of(w: Iterable[str]) -> frozenset[str]:
-    """The set of symbols occurring in a word."""
-    return frozenset(w)
-
-
 def _index(
     states: Iterable[str], transitions: Iterable[Transition]
 ) -> dict[str, dict[str, tuple[str, ...]]]:
@@ -84,7 +81,36 @@ def _index(
     return out
 
 
-@dataclass(frozen=True)
+def _sink_rule(
+    out: dict[str, dict[str, tuple[str, ...]]],
+    alphabet: frozenset[str],
+    final: frozenset[str],
+    sink: str | None = None,
+) -> tuple[dict[str, dict[str, tuple[str, ...]]], str | None]:
+    """The index and sink of the DFA whose rows are ``out``, a letter missing
+    from a row moving to ``sink``: the least rejecting state that every
+    letter maps back to itself becomes the sink, and the moves into it are
+    dropped."""
+    width = len(alphabet)
+    dead = min(
+        (
+            q
+            for q, row in out.items()
+            if q not in final
+            and (q == sink or (len(row) == width and all(t == (q,) for t in row.values())))
+        ),
+        default=None,
+    )
+    if dead == sink:
+        return out, sink
+    into, old = (dead,), (sink,)
+    rows = {
+        q: {sym: t for sym in alphabet if (t := row.get(sym, old)) != into} for q, row in out.items()
+    }
+    return rows, dead
+
+
+@dataclass(frozen=True, eq=False)
 class Nfa:
     """Nondeterministic finite automaton (no epsilon moves).
 
@@ -92,10 +118,13 @@ class Nfa:
     zero-state automaton produced by :func:`trim` on an empty language), in
     which case ``initial`` is empty as well and no word is accepted.
 
-    The constructor checks every name and transition. Automata the library
-    derives from checked ones skip that check through :meth:`_handed_over`,
-    and are equal field by field, index included, to what the constructor
-    builds from the same fields.
+    What an automaton holds is its transition index ``_out`` and its
+    implicit sink ``_sink`` (None but for a DFA). The constructor checks
+    every name and transition and keeps the ``transitions`` it was given.
+    Automata the library derives from checked ones skip that check through
+    :meth:`_from_index`, and their ``transitions`` is derived from the index
+    the first time it is read. Equality and hashing read the index, so they
+    agree with a comparison of the full transition tables.
     """
 
     states: frozenset[str]
@@ -140,26 +169,22 @@ class Nfa:
         )
 
     @classmethod
-    def _handed_over(
+    def _from_index(
         cls,
         states: frozenset[str],
         alphabet: frozenset[str],
-        transitions: frozenset[Transition],
         initial: frozenset[str],
         final: frozenset[str],
         out: dict[str, dict[str, tuple[str, ...]]],
-    ) -> "Nfa":
-        """The automaton with these fields and ``out`` as its transition
-        index, built without a check. Only for fields derived from checked
-        automata: ``out`` must be the index that :attr:`_out` would build."""
+        sink: str | None = None,
+    ):
+        """The automaton with these fields, ``out`` as its transition index
+        and ``sink`` as its implicit sink, built without a check. Only for
+        fields derived from checked automata: ``out`` and ``sink`` must be
+        what the constructor would build from the full transition table."""
         x = cls.__new__(cls)
         x.__dict__.update(
-            states=states,
-            alphabet=alphabet,
-            transitions=transitions,
-            initial=initial,
-            final=final,
-            _out=out,
+            states=states, alphabet=alphabet, initial=initial, final=final, _out=out, _sink=sink
         )
         return x
 
@@ -167,23 +192,35 @@ class Nfa:
     def _out(self) -> dict[str, dict[str, tuple[str, ...]]]:
         """The transition index every graph query reads: state -> letter ->
         sorted tuple of targets. Every state has a row; a letter without a
-        transition has no entry. Tuples of names drop out of the garbage
-        collector's scans, which a large DFA's index of lists would slow."""
+        transition has no entry, and a DFA's moves into its sink have none
+        either. Tuples of names drop out of the garbage collector's scans,
+        which a large DFA's index of lists would slow."""
         return _index(self.states, self.transitions)
 
     def _full_out(self) -> dict[str, dict[str, tuple[str, ...]]]:
         """The index with every transition written out; a DFA adds its sink
         moves."""
-        return self._out
+        if self._sink is None:
+            return self._out
+        into_sink = dict.fromkeys(self.alphabet, (self._sink,))
+        return {q: into_sink | row for q, row in self._out.items()}
+
+    def _key(self) -> tuple:
+        return (self.states, self.alphabet, self.initial, self.final, self._sink)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key() and self._out == other._out
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def _minimal(self) -> "Dfa":
         """The minimal complete DFA of the language, built on first use; the
         PT test, the oracles and :func:`equivalent` all read this one."""
         return minimize(subset_construction(self))
-
-    def successors(self, state: str, symbol: str) -> frozenset[str]:
-        return self.step_set((state,), symbol)
 
     def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         out: set[str] = set()
@@ -193,18 +230,18 @@ class Nfa:
         return frozenset(out)
 
 
-def _least_dead(
-    out: dict[str, dict[str, tuple[str, ...]]], final: frozenset[str], width: int
-) -> str | None:
-    """The least rejecting state whose row sends every letter back to it."""
-    return min(
-        (
-            q
-            for q, row in out.items()
-            if len(row) == width and q not in final and all(t == (q,) for t in row.values())
-        ),
-        default=None,
-    )
+def _derived_transitions(a: Nfa) -> frozenset[Transition]:
+    """The transition table, read off the full rows."""
+    rows = a._full_out().items()
+    return frozenset([(q, sym, t) for q, row in rows for sym, ts in row.items() for t in ts])
+
+
+# ``transitions`` is a constructor field, so its derivation is attached once
+# the class is made. A cached_property is a non-data descriptor: the table
+# given to the constructor sits in the instance and shadows it, and an
+# automaton built by ``_from_index`` derives its table on first read.
+Nfa.transitions = cached_property(_derived_transitions)
+Nfa.transitions.__set_name__(Nfa, "transitions")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +252,8 @@ class Dfa(Nfa):
     The dead sink is implicit. ``_sink`` names the least rejecting state that
     every letter maps back to itself, or is None when there is none; the
     index ``_out`` lists only the moves that do not enter the sink, and the
-    sink's own row is empty. ``transitions``, sink moves included, is built
-    on first use. ``Dfa(...)``, :func:`parse_automaton` and :meth:`_from_rows`
-    all build this one form, and equality and hashing read it, so they agree
-    with a comparison of the full transition tables."""
+    sink's own row is empty. ``Dfa(...)``, :func:`parse_automaton` and
+    :meth:`_from_rows` all build this one form."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -235,10 +270,7 @@ class Dfa(Nfa):
             q = min(q for q, row in out.items() if len(row) != width)
             sym = min(self.alphabet - out[q].keys())
             raise AutomatonError(f"incomplete DFA: no transition for ({q}, {sym})")
-        sink = _least_dead(out, self.final, width)
-        if sink is not None:
-            into = (sink,)
-            out = {q: {sym: t for sym, t in row.items() if t != into} for q, row in out.items()}
+        out, sink = _sink_rule(out, self.alphabet, self.final)
         self.__dict__.update(_out=out, _sink=sink)
 
     @classmethod
@@ -252,14 +284,15 @@ class Dfa(Nfa):
     ) -> "Dfa":
         """The DFA in which ``rows[q][sym]`` is the target of q under sym,
         and ``sink``, whose row is empty, the target of every move a row
-        lacks. It equals ``Dfa(...)`` on the full table. The library's own
-        builders use it, and derive every name from checked ones (subset
-        members, class representatives, gate numbers), so no name is
-        checked again. The rows are checked whole (their letters are in the
-        alphabet, their targets are declared states, and without a sink
-        they are complete) and kept as the index, instead of checking and
-        indexing every transition. Anything that fails a check goes to
-        ``Dfa(...)`` on the full table, which raises its own message."""
+        lacks. It equals ``Dfa(...)`` on the full table. The parser and the
+        library's own builders use it, and derive every name from checked
+        ones (declared tokens, subset members, class representatives, gate
+        numbers), so no name is checked again. The rows are checked whole
+        (one initial state, their letters are in the alphabet, their targets
+        are declared states, and without a sink they are complete) and kept
+        as the index, instead of checking and indexing every transition.
+        Anything that fails a check goes to ``Dfa(...)`` on the full table,
+        which raises its own message."""
         states, initial, final = frozenset(rows), frozenset(initial), frozenset(final)
         width = len(alphabet)
         if not (
@@ -283,51 +316,8 @@ class Dfa(Nfa):
         # the index shares one 1-tuple per target state
         single = {q: (q,) for q in states}
         out = {q: dict(zip(row, map(single.__getitem__, row.values()))) for q, row in rows.items()}
-        dead = _least_dead(out, final, width)
-        if dead is not None and (sink is None or dead < sink):
-            # a rejecting state whose row loops on every letter comes before
-            # the sink: it becomes the sink, and the old sink's moves are
-            # written out
-            into, old = single[dead], (sink,)
-            out = {
-                q: {sym: t for sym in alphabet if (t := row.get(sym, old)) != into}
-                for q, row in out.items()
-            }
-            sink = dead
-        x = cls.__new__(cls)
-        x.__dict__.update(
-            states=states, alphabet=alphabet, initial=initial, final=final, _out=out, _sink=sink
-        )
-        return x
-
-    @cached_property
-    def transitions(self) -> frozenset[Transition]:
-        out, sink = self._out, self._sink
-        moves = [(q, sym, t) for q, row in out.items() for sym, (t,) in row.items()]
-        if sink is not None:
-            moves += [
-                (q, sym, sink) for q, row in out.items() for sym in self.alphabet if sym not in row
-            ]
-        return frozenset(moves)
-
-    def _full_out(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        if self._sink is None:
-            return self._out
-        into = (self._sink,)
-        return {
-            q: {sym: row.get(sym, into) for sym in self.alphabet} for q, row in self._out.items()
-        }
-
-    def _key(self) -> tuple:
-        return (self.states, self.alphabet, self.initial, self.final, self._sink)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key() and self._out == other._out
-
-    def __hash__(self):
-        return hash(self._key())
+        out, sink = _sink_rule(out, alphabet, final, sink)
+        return cls._from_index(states, alphabet, initial, final, out, sink)
 
     @property
     def start(self) -> str:
@@ -418,7 +408,7 @@ def parse_automaton(text: str) -> Nfa:
     final = frozenset(map(declared.__getitem__, token_set("final")))
 
     triples: set[Transition] = set()
-    seen_pairs: dict[tuple[str, str], int] = {}
+    rows: dict[str, dict[str, str]] = {q: {} for q in states} if kind == "dfa" else {}
     for (src, sym, dst), ln in trans:
         if src not in states:
             raise ParseError(f"undeclared state {src!r}", ln)
@@ -427,15 +417,16 @@ def parse_automaton(text: str) -> Nfa:
         if sym not in alphabet:
             raise ParseError(f"undeclared symbol {sym!r}", ln)
         src, sym, dst = declared[src], symbols[sym], declared[dst]
-        if kind == "dfa" and (src, sym) in seen_pairs and (src, sym, dst) not in triples:
+        if kind == "nfa":
+            triples.add((src, sym, dst))
+        elif rows[src].setdefault(sym, dst) != dst:
             raise ParseError(f"duplicate transition for ({src}, {sym}) in a DFA", ln)
-        seen_pairs[(src, sym)] = ln
-        triples.add((src, sym, dst))
 
+    # every name and move is checked above, so the automaton is handed over
+    if kind == "nfa":
+        return Nfa._from_index(states, alphabet, initial, final, _index(states, triples))
     try:
-        if kind == "dfa":
-            return Dfa.build(states, alphabet, triples, initial, final)
-        return Nfa.build(states, alphabet, triples, initial, final)
+        return Dfa._from_rows(rows, alphabet, initial, final)
     except AutomatonError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -485,13 +476,13 @@ def lift_alphabet(a: Nfa, alphabet: Iterable[str]) -> Nfa:
         _check_token(sym, "symbol")
     # the new letters carry no transitions, so both share one index; the
     # minimal DFA is not shared, since the new letters need a sink
-    return Nfa._handed_over(a.states, alphabet, a.transitions, a.initial, a.final, a._full_out())
+    return Nfa._from_index(a.states, alphabet, a.initial, a.final, a._full_out())
 
 
 def lift_pair(a: Nfa, b: Nfa) -> tuple[Nfa, Nfa]:
     """Both automata over the union of their alphabets. An operand that
     already has the union is returned as it is, so it keeps its cached
-    transition table."""
+    minimal DFA."""
     union = a.alphabet | b.alphabet
     if a.alphabet != union:
         a = lift_alphabet(a, union)
@@ -504,13 +495,6 @@ def language_empty(a: Nfa) -> bool:
     """True when no word is accepted: :func:`shortest_run` searches forward
     from the initial states and stops at the first final state it reaches."""
     return shortest_run(a, a.initial, a.final) is None
-
-
-def _triples(out: dict[str, dict[str, tuple[str, ...]]]) -> frozenset[Transition]:
-    """The transitions that a transition index holds."""
-    return frozenset(
-        (q, sym, t) for q, row in out.items() for sym, dsts in row.items() for t in dsts
-    )
 
 
 def _distinct_names(names: dict, what: str) -> set[str]:
@@ -783,9 +767,7 @@ def trim(a: Nfa) -> Nfa:
         }
         for q in keep
     }
-    return Nfa._handed_over(
-        frozenset(keep), a.alphabet, _triples(out), a.initial & keep, a.final & keep, out
-    )
+    return Nfa._from_index(frozenset(keep), a.alphabet, a.initial & keep, a.final & keep, out)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -820,7 +802,7 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     states = frozenset(_distinct_names(names, "pairs"))
     initial = frozenset(names[pair] for pair in start_pairs)
     final = frozenset(names[(p, q)] for (p, q) in order if p in a.final and q in b.final)
-    return Nfa._handed_over(states, a.alphabet, _triples(out), initial, final, out)
+    return Nfa._from_index(states, a.alphabet, initial, final, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,7 +1011,7 @@ def closed_run_covering_word(
         raise AutomatonError(f"state {anchor!r} is in no component")
     if comp.letters != gamma:
         raise AutomatonError("anchor's component does not carry exactly the requested letters")
-    if not letters_of(target) <= gamma:
+    if not frozenset(target) <= gamma:
         raise AutomatonError("target word uses letters outside gamma")
 
     index = a._out

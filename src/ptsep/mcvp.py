@@ -108,10 +108,7 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(Gate(kind=parts[0].lower(), left=left, right=right))
         else:
             raise CircuitError(f"line {lineno}: definition must be 0, 1, AND j k, or OR j k")
-    try:
-        return Circuit(gates=tuple(gates))
-    except CircuitError as exc:
-        raise CircuitError(str(exc)) from None
+    return Circuit(gates=tuple(gates))
 
 
 def _gate_values(c: Circuit) -> list[bool]:

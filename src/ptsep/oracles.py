@@ -188,10 +188,9 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
     piece set itself (:func:`_layout`), and the search is the same."""
     grow = layout.grow
     letters = sorted(d.alphabet)
-    into_sink = (d._sink,)
     edges = {
-        q: [(t, grow[sym]) for sym in letters if (t := row.get(sym, into_sink)[0]) in allowed]
-        for q, row in d._out.items()
+        q: [(t, grow[sym]) for sym in letters if (t := row[sym][0]) in allowed]
+        for q, row in d._full_out().items()
     }
     root = (d.start, layout.root)
     seen = {root}
@@ -333,58 +332,46 @@ def bounded_tower_exists(
     parents: dict[tuple, tuple | None] = dict.fromkeys(roots)
     queue: deque[tuple] = deque(roots)
 
-    goal = None
+    def tower(goal: tuple) -> Tower:
+        steps: list[tuple[str, int]] = []
+        cur = goal
+        while parents[cur] is not None:
+            prev, sym, threshold = parents[cur]
+            steps.append((sym, threshold))
+            cur = prev
+        steps.reverse()
+        words = tuple(
+            tuple(sym for sym, t in steps if t <= level) for level in range(1, h + 1)
+        )
+        return Tower(words=words, start_side=goal[0])
+
     for node in roots:
         if accepting(*node):
-            goal = node
-            break
+            return tower(node)
 
-    while queue and goal is None:
+    while queue:
         node = queue.popleft()
         side, vec = node
         for sym in letters:
             for threshold in range(1, h + 1):
                 new_vec = list(vec)
-                dead = False
                 for i in range(threshold - 1, h):
                     _, out, live, _ = levels[side][i]
                     target = out[vec[i]].get(sym)
                     if target is None or target[0] not in live:
-                        dead = True
                         break
                     new_vec[i] = target[0]
-                if dead:
-                    continue
-                child = (side, tuple(new_vec))
-                if child in parents:
-                    continue
-                if len(parents) >= max_nodes:
-                    raise Inconclusive(f"tower search exceeded {max_nodes} configurations")
-                parents[child] = (node, sym, threshold)
-                if accepting(*child):
-                    goal = child
-                    break
-                queue.append(child)
-            if goal is not None:
-                break
-        if goal is not None:
-            break
-
-    if goal is None:
-        return None
-
-    steps: list[tuple[str, int]] = []
-    cur: tuple | None = goal
-    while parents[cur] is not None:
-        prev, sym, threshold = parents[cur]
-        steps.append((sym, threshold))
-        cur = prev
-    steps.reverse()
-    side = goal[0]
-    words = tuple(
-        tuple(sym for sym, t in steps if t <= level) for level in range(1, h + 1)
-    )
-    return Tower(words=words, start_side=side)
+                else:
+                    child = (side, tuple(new_vec))
+                    if child in parents:
+                        continue
+                    if len(parents) >= max_nodes:
+                        raise Inconclusive(f"tower search exceeded {max_nodes} configurations")
+                    parents[child] = (node, sym, threshold)
+                    if accepting(*child):
+                        return tower(child)
+                    queue.append(child)
+    return None
 
 
 def _share_a_word(a: Nfa, b: Nfa) -> bool:

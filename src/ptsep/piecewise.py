@@ -19,7 +19,6 @@ from .automata import (
     Dfa,
     Nfa,
     Word,
-    letters_of,
     minimize,
     scc_decomposition,
     self_loop_letters,
@@ -93,18 +92,15 @@ def condition2_triple(d: Dfa) -> Triple | None:
     common self-loop alphabet gamma that a third state reaches within gamma,
     p is the least such state, found by two backward searches over in-edges
     (self-loops dropped): O(n + |delta|) per pair, O(n^2 (n + |delta|)) in
-    all. The in-edges are read off the rows, the sink's from the letters
-    each row lacks. The witness words are shortest runs."""
+    all. The in-edges are read off the full rows, the moves into the
+    implicit sink included. The witness words are shortest runs."""
     states = sorted(d.states)
     loops = {q: self_loop_letters(d, q) for q in states}
     into: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
-    letters = sorted(d.alphabet)
-    for src, row in d._out.items():
+    for src, row in d._full_out().items():
         for sym, (dst,) in row.items():
             if src != dst:
                 into[dst].append((sym, src))
-        if d._sink is not None and src != d._sink and len(row) < len(letters):
-            into[d._sink].extend((sym, src) for sym in letters if sym not in row)
 
     def reaching(target: str, gamma: frozenset[str]) -> set[str]:
         seen, queue = {target}, [target]
@@ -167,7 +163,7 @@ def verify_pt_witness(verdict: PtVerdict) -> bool:
             return False
         if w.states[0] != w.states[-1] or len(set(w.states)) < 2:
             return False
-        if not (set(w.states) <= d.states and letters_of(w.word) <= d.alphabet):
+        if not (set(w.states) <= d.states and frozenset(w.word) <= d.alphabet):
             return False
         steps = zip(w.states, w.word, w.states[1:])
         return all(d.step(cur, sym) == nxt for cur, sym, nxt in steps)
@@ -177,7 +173,7 @@ def verify_pt_witness(verdict: PtVerdict) -> bool:
             return False
         if w.gamma != self_loop_letters(d, w.q) & self_loop_letters(d, w.q_prime):
             return False
-        if not (letters_of(w.w) <= w.gamma and letters_of(w.w_prime) <= w.gamma):
+        if not (frozenset(w.w) <= w.gamma and frozenset(w.w_prime) <= w.gamma):
             return False
         return reduce(d.step, w.w, w.p) == w.q and reduce(d.step, w.w_prime, w.p) == w.q_prime
     return False

@@ -21,7 +21,6 @@ from .automata import (
     Nfa,
     Word,
     closed_run_covering_word,
-    letters_of,
     lift_pair,
     restricted_reach,
     scc_decomposition,
@@ -356,7 +355,7 @@ def decide_separability(
 def _copies_to_cover(u: Word, cycle: Word) -> int:
     """Least m with u a subsequence of cycle repeated m times (greedy scan);
     at least 1. Requires every letter of u to occur in the cycle."""
-    missing = letters_of(u) - letters_of(cycle)
+    missing = frozenset(u) - frozenset(cycle)
     if missing:
         raise ValueError(f"letters {sorted(missing)} do not occur in the cycle word")
     copies = 1
@@ -426,10 +425,10 @@ def verify_pattern(w: PatternWitness, a: Nfa, b: Nfa) -> bool:
     and its cycle word must lead from the anchor back to it, so the replay
     proves acceptance for every choice of pump counts, not a sample."""
     for seg in w.blocks:
-        if letters_of(seg.a_cycle) != seg.gamma or letters_of(seg.b_cycle) != seg.gamma:
+        if frozenset(seg.a_cycle) != seg.gamma or frozenset(seg.b_cycle) != seg.gamma:
             return False
         for part in (seg.a_entry, seg.a_exit, seg.b_entry, seg.b_exit):
-            if not letters_of(part) <= seg.gamma:
+            if not frozenset(part) <= seg.gamma:
                 return False
     return _replays(w, a, "A") and _replays(w, b, "B")
 

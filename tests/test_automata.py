@@ -25,7 +25,6 @@ from ptsep.automata import (
     closed_run_covering_word,
     equivalent,
     language_empty,
-    letters_of,
     lift_alphabet,
     membership,
     minimize,
@@ -85,7 +84,7 @@ def test_parse_dfa_kind_and_completeness():
 def test_parse_nfa_kind():
     a = aut(A_THEN_ANY)
     assert isinstance(a, Nfa) and not isinstance(a, Dfa)
-    assert a.successors("v", "a") == {"v"}
+    assert a.step_set({"v"}, "a") == {"v"}
 
 
 def test_parse_accepts_any_header_order_and_comments():
@@ -160,6 +159,25 @@ def test_parse_dfa_requires_total_single_valued_function():
             trans: o a o
             """
         )
+
+
+def test_parse_dfa_rejections_keep_the_constructor_messages():
+    base = "kind: dfa\nstates: e o\nalphabet: a b\nfinal: e\ntrans: e a o\ntrans: o a e\n"
+    cases = {
+        "initial:\ntrans: e b e\ntrans: o b o\n": "a DFA declares exactly one initial state",
+        "initial: e o\ntrans: e b e\ntrans: o b o\n": "a DFA declares exactly one initial state",
+        # both faults: the initial state is reported first
+        "initial:\ntrans: e b e\n": "a DFA declares exactly one initial state",
+        "initial: e\ntrans: e b e\n": "incomplete DFA: no transition for (o, b)",
+        "initial: e\n": "incomplete DFA: no transition for (e, b)",
+        "initial: e\ntrans: e b e\ntrans: o b o\ntrans: e a e\n": (
+            "line 10: duplicate transition for (e, a) in a DFA"
+        ),
+    }
+    for tail, message in cases.items():
+        with pytest.raises(ParseError) as exc:
+            parse_automaton(base + tail)
+        assert str(exc.value) == message
 
 
 def test_parse_dfa_tolerates_repeated_identical_transition_line():
@@ -354,10 +372,10 @@ def test_dfa_queries_read_the_sink_as_the_full_table_does():
         for q in sorted(d.states):
             assert self_loop_letters(d, q) == self_loop_letters(full, q)
             for sym in sorted(d.alphabet):
-                assert d.successors(q, sym) == full.successors(q, sym) == {d.step(q, sym)}
+                assert d.step_set({q}, sym) == full.step_set({q}, sym) == {d.step(q, sym)}
         for sym in sorted(d.alphabet):
             assert d.step_set(d.states, sym) == full.step_set(d.states, sym)
-        assert d.successors(d.start, "foreign") == d.step_set({d.start}, "foreign") == set()
+        assert d.step_set({d.start}, "foreign") == set()
         if sink is not None:
             assert self_loop_letters(d, sink) == d.alphabet
             assert all(d.step(sink, sym) == sink for sym in d.alphabet)
@@ -392,6 +410,30 @@ def test_dfa_lift_and_product_write_the_sink_moves_out():
     for x in products:
         ref = Nfa(x.states, x.alphabet, x.transitions, x.initial, x.final)
         assert type(x) is Nfa and x == ref and x._out == ref._out
+
+
+def test_derived_automata_build_their_transitions_on_first_read():
+    rng = random.Random(37)
+    derived = []
+    for d in _random_dfas(38, 200):
+        a = random_nfa(rng, max_states=5)
+        lifted = lift_alphabet(a, "abcd")
+        derived += [
+            trim(a),
+            trim(d),
+            lifted,
+            lift_alphabet(d, "abcd"),
+            product_intersection(lifted, lift_alphabet(d, "abcd")),
+            subset_construction(a),
+            minimize(subset_construction(a)),
+            parse_automaton(serialize_automaton(a)),
+            parse_automaton(serialize_automaton(d)),
+        ]
+    assert all("transitions" not in x.__dict__ for x in derived)
+    for x in derived:
+        ref = type(x)(x.states, x.alphabet, x.transitions, x.initial, x.final)
+        assert "transitions" in x.__dict__
+        assert x == ref and x._out == ref._out and x._sink == ref._sink
 
 
 def test_token_checks_stay_with_the_public_constructor():
@@ -781,7 +823,7 @@ def test_cycle_word_covering_produces_exact_closed_runs():
                     continue
                 anchor = sorted(comp.states)[0]
                 word = closed_run_covering_word(a, anchor, gamma)
-                assert word and letters_of(word) == gamma
+                assert word and frozenset(word) == gamma
                 assert anchor in _set_walk(a, {anchor}, word, within=comp.states)
                 checked += 1
     assert checked > 50
@@ -821,7 +863,7 @@ def test_closed_run_covering_word_embeds_target():
                 anchor = sorted(comp.states)[0]
                 target = tuple(rng.choice(sorted(gamma)) for _ in range(rng.randint(0, 5)))
                 word = closed_run_covering_word(a, anchor, gamma, target)
-                assert letters_of(word) == gamma
+                assert frozenset(word) == gamma
                 assert is_subsequence(target, word)
                 assert anchor in _set_walk(a, {anchor}, word, within=comp.states)
                 checked += 1

@@ -208,6 +208,7 @@ def test_instance_builders_equal_the_triple_path():
         for seed in (0, 1):
             c = random_circuit(n, seed)
             for d in (build_certificate_dfa(c), build_padded_certificate_dfa(c), build_round_dfa(c)):
+                assert "transitions" not in d.__dict__
                 ref = Dfa(d.states, d.alphabet, d.transitions, d.initial, d.final)
                 assert d == ref and d._out == ref._out, (n, seed)
 
