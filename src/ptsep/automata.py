@@ -548,65 +548,29 @@ def subset_construction(a: Nfa) -> Dfa:
     return Dfa._from_rows(rows, a.alphabet, {names[start]}, final, sink)
 
 
-def _refinable(groups: list[list[int]], n: int):
-    """A partition of 0..n-1, starting from ``groups``, that is refined by
-    marking elements and then splitting every set with marked elements into
-    its marked and unmarked parts (Valmari and Lehtinen). Each set's elements
-    are contiguous in ``elems``, from ``first[s]`` to ``end[s]``, marked ones
-    first; a split keeps the larger part under the old number and gives the
-    smaller one the next number. Returns ``(elems, set_of, first, end, mark,
-    split)``; an element is marked at most once between splits."""
-    elems = [e for group in groups for e in group]
-    loc = [0] * n
-    set_of = [0] * n
-    first: list[int] = []
-    end: list[int] = []
-    for s, group in enumerate(groups):
-        first.append(end[-1] if end else 0)
-        end.append(first[-1] + len(group))
-        for e in group:
-            set_of[e] = s
-    for i, e in enumerate(elems):
-        loc[e] = i
-    marked = [0] * len(groups)
-    touched: list[int] = []
-
-    def mark(e: int) -> None:
-        s = set_of[e]
-        i, j = loc[e], first[s] + marked[s]
-        other = elems[j]
-        elems[i] = other
-        loc[other] = i
-        elems[j] = e
-        loc[e] = j
-        if not marked[s]:
-            touched.append(s)
-        marked[s] += 1
-
-    def split() -> None:
-        while touched:
-            s = touched.pop()
-            lo, hi = first[s], end[s]
-            j = lo + marked[s]
-            marked[s] = 0
-            if j == hi:
-                continue
-            if j - lo <= hi - j:
-                first.append(lo)
-                end.append(j)
-                first[s] = j
-                moved = elems[lo:j]
-            else:
-                first.append(j)
-                end.append(hi)
-                end[s] = j
-                moved = elems[j:hi]
-            z = len(marked)
-            marked.append(0)
-            for e in moved:
-                set_of[e] = z
-
-    return elems, set_of, first, end, mark, split
+def _useful(a: Nfa, sources: Iterable[str]) -> tuple[dict[str, list[str]], set[str]]:
+    """The states reachable from ``sources``, each with its predecessors (one
+    per move, read off the rows, so no move that leaves an unreachable state
+    is looked at), and the set of those that reach a final state."""
+    index = a._out
+    pred: dict[str, list[str]] = {q: [] for q in sources}
+    queue = list(pred)
+    for q in queue:
+        for dsts in index[q].values():
+            for t in dsts:
+                if t in pred:
+                    pred[t].append(q)
+                else:
+                    pred[t] = [q]
+                    queue.append(t)
+    alive = {q for q in a.final if q in pred}
+    queue = list(alive)
+    for q in queue:
+        for p in pred[q]:
+            if p not in alive:
+                alive.add(p)
+                queue.append(p)
+    return pred, alive
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -616,96 +580,81 @@ def minimize(d: Dfa) -> Dfa:
     class is named after its lexicographically least member. The reachable
     states from which no final state is reachable form one class, the sink
     of the result, so an empty language collapses to a single non-accepting
-    sink state. The other states are refined over the moves between them
-    only, by the partition refinement of Valmari and Lehtinen for partial
-    DFAs: O(m log n) for m such moves. When every state of ``d`` is
-    reachable and no two are equivalent, the result would equal ``d`` field
-    by field, and ``d`` itself is returned.
+    sink state. When every state of ``d`` is reachable and no two are
+    equivalent, the result would equal ``d`` field by field, and ``d``
+    itself is returned.
+
+    The live states are refined by Hopcroft's algorithm over the m moves
+    between them. The blocks start as the final and the other live states,
+    and every block waits. A popped block groups the moves into it by
+    letter; each letter's sources split every block they cover in part, the
+    larger part keeping its number and the smaller one waiting under a new
+    number. Moves into the sink are never read: the sink is a block that
+    never waits. That is sound only because every initial block waits
+    (Béal and Crochemore, *Minimizing incomplete automata*, 2008); waiting
+    on the smaller one alone, as for a complete DFA, merges states that
+    differ only in their moves into the sink. Each popped block that holds
+    a given state is at most half the one popped before it, so a move is
+    read at most 1 + log2 n times: O(m log n).
     """
     index = d._out
     start = d.start
-    reachable: list[str] = [start]
-    pred: dict[str, list[str]] = {start: []}
-    for q in reachable:
-        for (t,) in index[q].values():
-            if t not in pred:
-                pred[t] = []
-                reachable.append(t)
-            pred[t].append(q)
-    live = [q for q in reachable if q in d.final]
-    alive = set(live)
-    for q in live:
-        for p in pred[q]:
-            if p not in alive:
-                alive.add(p)
-                live.append(p)
-    dead = pred.keys() - alive
+    reached, alive = _useful(d, (start,))
+    dead = reached.keys() - alive
     width = len(d.alphabet)
-    if d._sink is not None and any(len(index[q]) < width for q in reachable):
+    if d._sink is not None and any(len(index[q]) < width for q in reached):
         dead.add(d._sink)
 
-    # blocks of the live states, in name order: the final and the other
-    # ones, the larger first
-    ordered = sorted(alive)
-    n = len(ordered)
-    final = [i for i, q in enumerate(ordered) if q in d.final]
-    rejecting = [i for i, q in enumerate(ordered) if q not in d.final]
-    groups = sorted((group for group in (rejecting, final) if group), key=len, reverse=True)
-    blocks, block_of, block_first, block_end, mark_state, split_blocks = _refinable(groups, n)
-    # with every block a single state there is nothing to refine
-    if len(groups) < n:
-        # cords of the moves between live states: grouped by letter at
-        # first, later split further by the blocks their heads lie in
-        number = {q: i for i, q in enumerate(ordered)}
-        tails: list[int] = []
-        by_letter: dict[str, list[int]] = {sym: [] for sym in d.alphabet}
-        into: list[list[int]] = [[] for _ in ordered]
-        for i, q in enumerate(ordered):
-            for sym, (t,) in index[q].items():
-                if t in number:
-                    by_letter[sym].append(len(tails))
-                    into[number[t]].append(len(tails))
-                    tails.append(i)
-        cords, cord_of, cord_first, cord_end, mark_move, split_cords = _refinable(
-            [group for group in by_letter.values() if group], len(tails)
-        )
-        # every cord splits the blocks by the tails of its moves, and every
-        # block but the first (the others suffice) splits the cords by the
-        # heads of theirs; a singleton cannot split, so its members are not
-        # marked
-        b, c = 1, 0
-        while c < len(cord_first):
-            for e in cords[cord_first[c] : cord_end[c]]:
-                k = block_of[tails[e]]
-                if block_end[k] - block_first[k] > 1:
-                    mark_state(tails[e])
-            split_blocks()
-            c += 1
-            while b < len(block_first):
-                for q in blocks[block_first[b] : block_end[b]]:
-                    for e in into[q]:
-                        k = cord_of[e]
-                        if cord_end[k] - cord_first[k] > 1:
-                            mark_move(e)
-                split_cords()
-                b += 1
+    blocks = [block for block in (alive & d.final, alive - d.final) if block]
+    block_of = {q: b for b, block in enumerate(blocks) for q in block}
+    # the moves between live states, by target: letter and source side by
+    # side in one flat list, so the garbage collector has few containers
+    # to scan
+    into: dict[str, list[str]] = {q: [] for q in alive}
+    for p in alive:
+        for sym, (t,) in index[p].items():
+            if t in alive:
+                into[t] += sym, p
+    waiting = list(range(len(blocks)))
+    while waiting:
+        sources: dict[str, list[str]] = {}
+        for t in blocks[waiting.pop()]:
+            moves = iter(into[t])
+            for sym, p in zip(moves, moves):
+                # a block of one state cannot be split
+                if len(blocks[block_of[p]]) == 1:
+                    continue
+                sources.setdefault(sym, []).append(p)
+        for ps in sources.values():
+            covered: dict[int, list[str]] = {}
+            for p in ps:
+                covered.setdefault(block_of[p], []).append(p)
+            for b, part in covered.items():
+                block = blocks[b]
+                if len(part) == len(block):
+                    continue
+                # the smaller part moves to a new block: subtracting it costs
+                # its size, and computing it at most twice the moves just read
+                part = set(part)
+                moved = part if 2 * len(part) <= len(block) else block - part
+                block -= moved
+                block_of.update(dict.fromkeys(moved, len(blocks)))
+                waiting.append(len(blocks))
+                blocks.append(moved)
 
-    if len(block_first) + bool(dead) == len(d.states):
+    if len(blocks) + bool(dead) == len(d.states):
         return d
-    least: dict[int, str] = {}
-    for i, q in enumerate(ordered):
-        least.setdefault(block_of[i], q)
-    rename = {q: least[block_of[i]] for i, q in enumerate(ordered)}
+    least = [min(block) for block in blocks]
+    rename = {q: least[b] for q, b in block_of.items()}
     # members of a class step into the same classes, so the representative's
     # row is the class's row; its moves into dead states go to the sink
     classes = {
-        r: {sym: rename[t] for sym, (t,) in index[r].items() if t in rename}
-        for r in least.values()
+        r: {sym: rename[t] for sym, (t,) in index[r].items() if t in rename} for r in least
     }
     sink = min(dead, default=None)
     if sink is not None:
         classes[sink] = {}
-    accepting = {rename[ordered[i]] for i in final}
+    accepting = {rename[q] for q in alive & d.final}
     return Dfa._from_rows(classes, d.alphabet, {rename.get(start, sink)}, accepting, sink)
 
 
@@ -742,23 +691,7 @@ def trim(a: Nfa) -> Nfa:
     the input was complete. The result's transition index is the input's
     rows of the kept states, filtered to the kept targets."""
     index = a._out
-    # predecessor lists of the forward-reachable states, read off their rows,
-    # so no transition that leaves an unreachable state is looked at
-    pred: dict[str, list[str]] = {q: [] for q in a.initial}
-    queue = list(pred)
-    for q in queue:
-        for t in set().union(*index[q].values()):
-            if t not in pred:
-                pred[t] = []
-                queue.append(t)
-            pred[t].append(q)
-    keep = {q for q in a.final if q in pred}
-    queue = list(keep)
-    for q in queue:
-        for p in pred[q]:
-            if p not in keep:
-                keep.add(p)
-                queue.append(p)
+    _, keep = _useful(a, a.initial)
     out = {
         q: {
             sym: dsts if keep.issuperset(dsts) else tuple([t for t in dsts if t in keep])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -538,6 +539,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, argv)
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader has gone; the interpreter's last flush of stdout would
+        # raise again, so what is left goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     except (ParseError, mcvp_mod.CircuitError, AutomatonError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

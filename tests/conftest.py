@@ -51,15 +51,17 @@ def random_nfa(rng: random.Random, max_states: int = 6, letters=("a", "b", "c"))
 DFA_KINDS = ("no sink", "one sink", "dead states")
 
 
-def random_dfa(rng: random.Random, kind: str, letters=("a", "b", "c")) -> Dfa:
-    """A random complete DFA as a full table. "no sink": no rejecting state
-    loops on every letter. "one sink": one such state, z, entered from some
-    states. "dead states": the rejecting absorbing states y and z, a
-    rejecting two-cycle d0, d1 that only leads to them, and sometimes no
-    final state at all (the empty language). Some states may be
-    unreachable."""
+def random_dfa(
+    rng: random.Random, kind: str, letters=("a", "b", "c"), max_states: int = 6
+) -> Dfa:
+    """A random complete DFA as a full table, with 1 to ``max_states`` live
+    states. "no sink": no rejecting state loops on every letter. "one sink":
+    one such state, z, entered from some states. "dead states": the
+    rejecting absorbing states y and z, a rejecting two-cycle d0, d1 that
+    only leads to them, and sometimes no final state at all (the empty
+    language). Some states may be unreachable."""
     alpha = letters[: rng.randint(1, len(letters))]
-    n = rng.randint(1, 6)
+    n = rng.randint(1, max_states)
     live = [f"q{i}" for i in range(n)]
     dead = {"no sink": [], "one sink": ["z"], "dead states": ["d0", "d1", "y", "z"]}[kind]
     final = {q for q in live if rng.random() < 0.4}

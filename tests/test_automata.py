@@ -327,10 +327,10 @@ def _expected_sink(d: Dfa) -> str | None:
     return min((q for q in d.states - d.final if loops[q] == d.alphabet), default=None)
 
 
-def _random_dfas(seed: int, count: int):
+def _random_dfas(seed: int, count: int, **shape):
     rng = random.Random(seed)
     for i in range(count):
-        yield random_dfa(rng, DFA_KINDS[i % len(DFA_KINDS)])
+        yield random_dfa(rng, DFA_KINDS[i % len(DFA_KINDS)], **shape)
 
 
 def test_dfa_constructors_agree_on_the_implicit_sink():
@@ -480,6 +480,21 @@ def test_rows_constructor_rejects_what_the_public_constructor_rejects():
         assert messages[0] == messages[1], messages
 
 
+# Rejecting p and q differ only in that q's a-move enters the sink z, which
+# the refinement never reads; the accepting block {r1, r2, r3} is the larger
+# one. A refinement that starts from the smaller block alone merges p and q.
+PARTIAL_TRAP = Dfa.build(
+    {"p", "q", "r1", "r2", "r3", "z"},
+    {"a", "b"},
+    [("p", "a", "r1"), ("p", "b", "r1"), ("q", "a", "z"), ("q", "b", "r1")]
+    + [("z", "a", "z"), ("z", "b", "z")]
+    + [(f"r{i}", "a", f"r{i % 3 + 1}") for i in (1, 2, 3)]
+    + [(f"r{i}", "b", "q") for i in (1, 2, 3)],
+    {"p"},
+    {"r1", "r2", "r3"},
+)
+
+
 def test_minimize_agrees_with_moore_refinement_on_complete_rows():
     rebuilt = 0
     for d in _random_dfas(34, 1000):
@@ -489,6 +504,12 @@ def test_minimize_agrees_with_moore_refinement_on_complete_rows():
         assert minimize(m) is m
         rebuilt += m is not d
     assert 100 < rebuilt < 1000
+    larger = _random_dfas(35, 300, letters=("a", "b", "c", "d", "e", "f"), max_states=40)
+    for d in [*larger, PARTIAL_TRAP]:
+        m, ref = minimize(d), reference_minimize(d)
+        assert m == ref and m._out == ref._out and m._sink == ref._sink
+        assert (m is d) == (ref is d)
+    assert minimize(PARTIAL_TRAP).states == {"p", "q", "r1", "z"}
 
 
 def test_minimize_preserves_language_and_is_minimal():

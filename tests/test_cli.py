@@ -513,6 +513,25 @@ def test_oracle_separator(files):
     assert r2.stdout == "no k-piecewise separator for k <= 3\n"
 
 
+def test_closed_output_pipe_prints_no_error(tmp_path):
+    # the 3-profiles of all words over three letters fill more than a pipe
+    every_word = tmp_path / "all.aut"
+    every_word.write_text(
+        "kind: dfa\nstates: s\nalphabet: a b c\ninitial: s\nfinal: s\n"
+        "trans: s a s\ntrans: s b s\ntrans: s c s\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "ptsep", "oracle", "profiles", str(every_word), "--k", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "5312 accepted 3-profiles:\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 2
+        assert proc.stderr.read() == ""
+
+
 # ----------------------------------------------------------------- bad inputs
 
 
