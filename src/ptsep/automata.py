@@ -452,10 +452,19 @@ def serialize_automaton(a: Nfa) -> str:
 
 
 def membership(a: Nfa, w: Word) -> bool:
-    """Word acceptance by set simulation."""
+    """Word acceptance: a DFA walks its index one state at a time and stops
+    where the walk enters the sink; an NFA is simulated on sets of states."""
     for sym in w:
         if sym not in a.alphabet:
             raise AlphabetMismatchError(f"symbol {sym!r} is not in the alphabet")
+    if isinstance(a, Dfa):
+        q, index = a.start, a._out
+        for sym in w:
+            targets = index[q].get(sym)
+            if targets is None:
+                return False
+            q = targets[0]
+        return q in a.final
     current: frozenset[str] = frozenset(a.initial)
     for sym in w:
         if not current:

@@ -270,3 +270,21 @@ def check_tower(words, start_side: str, a: Nfa, b: Nfa) -> bool:
         if not brute_accepts(wide_a if on_a else wide_b, w):
             return False
     return all(is_subsequence(u, w) for u, w in zip(words, words[1:]))
+
+
+def chain_dfa(n: int, twin: bool) -> tuple[Dfa, tuple[str, ...], str]:
+    """State c_i advances on its own letter and self-loops on every other;
+    the last state accepts. The twin's letter z sends c_{n-2} to a rejecting
+    sink r, which makes c_0, c_{n-1}, r a triple over the full alphabet."""
+    chain, z = tuple(f"l{i:03d}" for i in range(n - 1)), "z"
+    states = [f"c{i:03d}" for i in range(n)]
+    trans = []
+    for i, q in enumerate(states):
+        trans += [(q, sym, states[i + 1] if j == i else q) for j, sym in enumerate(chain)]
+    alphabet = list(chain)
+    if twin:
+        alphabet.append(z)
+        trans += [(q, z, "r" if i == n - 2 else q) for i, q in enumerate(states)]
+        trans += [("r", sym, "r") for sym in alphabet]
+        states.append("r")
+    return Dfa.build(states, alphabet, trans, [states[0]], [f"c{n - 1:03d}"]), chain, z

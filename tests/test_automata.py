@@ -243,6 +243,29 @@ def test_membership_matches_brute_force():
             assert membership(a, w) == brute_accepts(a, w)
 
 
+def test_dfa_membership_walk_matches_the_set_simulation():
+    into_sink = 0
+    for d in _random_dfas(34, 300, max_states=8):
+        lifted = lift_alphabet(d, d.alphabet)
+        assert type(lifted) is Nfa
+        for w in words_up_to(d.alphabet, 4):
+            assert membership(d, w) == membership(lifted, w)
+        # a word that enters the sink at its first letter and goes on
+        for sym in sorted(d.alphabet):
+            if d._sink is not None and d.step(d.start, sym) == d._sink:
+                into_sink += 1
+                w = (sym,) + tuple(sorted(d.alphabet)) * 3
+                assert membership(d, w) is membership(lifted, w) is False
+        # a foreign letter raises, also after the walk would have stopped
+        for w in (("x",), tuple(sorted(d.alphabet)) + ("x",)):
+            with pytest.raises(AlphabetMismatchError) as walked:
+                membership(d, w)
+            with pytest.raises(AlphabetMismatchError) as simulated:
+                membership(lifted, w)
+            assert str(walked.value) == str(simulated.value) == "symbol 'x' is not in the alphabet"
+    assert into_sink > 50
+
+
 # ------------------------------------------------------- language operations
 
 

@@ -6,7 +6,8 @@ import textwrap
 
 import pytest
 
-from ptsep.automata import minimize, parse_automaton
+from conftest import chain_dfa
+from ptsep.automata import minimize, parse_automaton, serialize_automaton
 from ptsep.mcvp import random_circuit
 from ptsep.oracles import KProfile, KptSeparator, verify_separator
 
@@ -204,6 +205,26 @@ def test_pt_check_max_nodes_bounds_the_oracle(files):
     r = run_cli("pt-check", files["even.aut"], "--max-nodes", "1")
     assert r.returncode == 1
     assert "oracle check (profile conflicts, kmax=4): inconclusive" in r.stdout
+
+
+def test_pt_check_names_the_triple_of_the_200_state_twin_chain(tmp_path):
+    d, chain, z = chain_dfa(200, twin=True)
+    path = tmp_path / "twin200.aut"
+    path.write_text(serialize_automaton(d), encoding="utf-8")
+    r = run_cli("pt-check", str(path), "--json")
+    assert r.returncode == 1
+    data = json.loads(r.stdout)
+    assert data["verdict"] == {"is_pt": False}
+    # the states carry the determinization's subset names
+    assert data["witness"] == {
+        "type": "triple",
+        "p": "{c000}",
+        "q": "{c199}",
+        "q_prime": "{r}",
+        "w": list(chain),
+        "w_prime": list(chain[:-1] + (z,)),
+        "gamma": sorted(d.alphabet),
+    }
 
 
 def test_pt_check_no_oracle(files):

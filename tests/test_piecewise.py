@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import aut, brute_language, random_nfa
+from conftest import aut, brute_language, chain_dfa, random_nfa
 from ptsep import automata, piecewise
 from ptsep.automata import Dfa, minimize, self_loop_letters, shortest_run, subset_construction
 from ptsep.oracles import pt_bounded
@@ -312,22 +312,75 @@ def test_triple_scan_matches_the_definition():
     assert found > 30 and ordered_found > 50
 
 
-def chain_dfa(n: int, twin: bool) -> tuple[Dfa, tuple[str, ...], str]:
-    """State c_i advances on its own letter and self-loops on every other;
-    the last state accepts. The twin's letter z sends c_{n-2} to a rejecting
-    sink r, which makes c_0, c_{n-1}, r a triple over the full alphabet."""
-    chain, z = tuple(f"l{i:03d}" for i in range(n - 1)), "z"
-    states = [f"c{i:03d}" for i in range(n)]
+def random_looping_dfa(rng: random.Random, ordered: bool, sink: bool) -> Dfa:
+    """A random complete DFA with up to 30 states over up to five letters,
+    where a random share of the moves are self-loops. ``ordered``: every
+    other move goes to a later state, so no cycle passes through two states.
+    ``sink``: some moves enter the rejecting absorbing state z, which the
+    DFA keeps implicit."""
+    n = rng.randint(1, 30)
+    states = [f"s{i:02d}" for i in range(n)]
+    letters = "abcde"[: rng.randint(1, 5)]
+    stay = rng.random()
     trans = []
     for i, q in enumerate(states):
-        trans += [(q, sym, states[i + 1] if j == i else q) for j, sym in enumerate(chain)]
-    alphabet = list(chain)
-    if twin:
-        alphabet.append(z)
-        trans += [(q, z, "r" if i == n - 2 else q) for i, q in enumerate(states)]
-        trans += [("r", sym, "r") for sym in alphabet]
-        states.append("r")
-    return Dfa.build(states, alphabet, trans, [states[0]], [f"c{n - 1:03d}"]), chain, z
+        for sym in letters:
+            if rng.random() < stay:
+                t = q
+            elif sink and rng.random() < 0.2:
+                t = "z"
+            else:
+                t = states[rng.randrange(i, n) if ordered else rng.randrange(n)]
+            trans.append((q, sym, t))
+    final = [q for q in states if rng.random() < 0.5]
+    if sink:
+        states.append("z")
+        trans += [("z", sym, "z") for sym in letters]
+    return Dfa.build(states, letters, trans, ["s00"], final)
+
+
+def test_candidate_scan_matches_the_definition_on_larger_dfas():
+    rng = random.Random(14)
+    found = {}
+    for i in range(480):
+        ordered, sink = i % 2 == 0, i % 4 >= 2
+        d = random_looping_dfa(rng, ordered, sink)
+        assert (d._sink is not None) or not sink
+        expected = brute_triple(d)
+        assert condition2_triple(d) == expected
+        kind = (ordered, d._sink is not None)
+        found[kind] = found.get(kind, 0) + (expected is not None)
+    # triples turn up in all four kinds: ordered or cyclic, with a sink or without
+    assert len(found) == 4 and min(found.values()) > 8
+
+
+def deep_branch_dfa(depth: int) -> Dfa:
+    """p0 -c-> p1 -c-> ... -c-> p<depth>, which branches: a to q, b to r.
+    The other p's loop on a and b, q and r on every letter. So only
+    p<depth> branches, while every p reaches q and r within {a, b, c}."""
+    ps = [f"p{i}" for i in range(depth + 1)]
+    trans = [(p, sym, p) for p in ps[:-1] for sym in "ab"]
+    trans += [(p, "c", nxt) for p, nxt in zip(ps, ps[1:])]
+    trans += [(ps[-1], "c", ps[-1]), (ps[-1], "a", "q"), (ps[-1], "b", "r")]
+    trans += [(s, sym, s) for s in "qr" for sym in "abc"]
+    return Dfa.build(ps + ["q", "r"], "abc", trans, ["p0"], ["q"])
+
+
+def test_the_least_p_lies_above_the_branching_state():
+    for depth in range(6):
+        d = deep_branch_dfa(depth)
+        path = ("c",) * depth
+        expected = Triple("p0", "q", "r", path + ("a",), path + ("b",), frozenset("abc"))
+        assert condition2_triple(d) == brute_triple(d) == expected
+        v = is_pt_dfa(d)
+        assert v.witness == expected and verify_pt_witness(v)
+
+
+def test_chain_of_200_states_yields_the_constructed_triple():
+    plain, _, _ = chain_dfa(200, twin=False)
+    assert condition2_triple(plain) is None and is_pt_dfa(plain).is_pt
+    d, chain, z = chain_dfa(200, twin=True)
+    assert condition2_triple(d) == Triple("c000", "c199", "r", chain, chain[:-1] + (z,), d.alphabet)
 
 
 def test_chain_of_120_states_is_decided_without_the_quartic_scan():
