@@ -3,15 +3,18 @@
 The decision works on a "block product" of the two (trimmed) automata: nodes
 are state pairs, letter edges move both sides on a shared letter, and block
 edges jump through a pump anchor, a pair of states that both carry a cycle
-over exactly the same letter set. Non-separability holds exactly when some
-initial pair reaches an accepting pair; the path is returned as a pattern
-witness whose pumped expansions yield towers of every height, which is the
-machine-checkable evidence that no piecewise testable separator exists.
+over exactly the same letter set gamma. A block edge reads only the
+gamma-restricted reach maps of the two sides, so the product stores its
+anchors and one pair of reach maps per anchor alphabet, and no edge sets.
+Non-separability holds exactly when some initial pair reaches an accepting
+pair; the path is returned as a pattern witness whose pumped expansions
+yield towers of every height, which is the machine-checkable evidence that
+no piecewise testable separator exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 
 from .automata import (
@@ -98,28 +101,19 @@ class SepVerdict:
 
 
 @dataclass(frozen=True)
-class AnchorRelation:
-    """A pump anchor together with the states that can enter it and the
-    states it can exit to, inside the gamma restriction of each automaton.
-    Block edges are exactly (enter_a x enter_b) -> (exit_a x exit_b)."""
-
-    anchor: PumpAnchor
-    enter_a: frozenset[str]
-    enter_b: frozenset[str]
-    exit_a: frozenset[str]
-    exit_b: frozenset[str]
-
-
-@dataclass(frozen=True)
 class BlockProduct:
-    """Two trimmed automata over a shared alphabet plus the block-edge
-    relations derived from pump anchors. Letter edges of the synchronized
-    product are not stored: the search joins both sides' out-edges on
-    shared letters as it reaches each pair."""
+    """Two trimmed automata over a shared alphabet, their pump anchors in
+    sorted (r_a, r_b) order, and both sides' reach maps per anchor alphabet.
+    (p, q) enters anchor (r_a, r_b, gamma) when r_a is in reach[gamma][0][p]
+    and r_b in reach[gamma][1][q]; it exits to reach[gamma][0][r_a] x
+    reach[gamma][1][r_b]. Letter edges are not stored: the search joins both
+    sides' out-edges on shared letters as it reaches each pair."""
 
     a: Nfa
     b: Nfa
-    anchors: tuple[AnchorRelation, ...]
+    anchors: tuple[PumpAnchor, ...]
+    # gamma -> (restricted_reach(a, gamma), restricted_reach(b, gamma)), not compared
+    reach: dict[frozenset[str], tuple[dict, dict]] = field(compare=False)
 
 
 def _scc_letter_map(a: Nfa, gamma: frozenset[str]) -> dict[str, frozenset[str]]:
@@ -150,9 +144,9 @@ def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozens
         gamma = refined
 
 
-def _anchor_gammas(a: Nfa, b: Nfa) -> list[tuple[str, str, frozenset[str]]]:
+def _anchor_gammas(a: Nfa, b: Nfa) -> tuple[PumpAnchor, ...]:
     """Every pair (r_a, r_b) with a nonempty maximal common cycle alphabet,
-    with that alphabet, in sorted (r_a, r_b) order.
+    as a pump anchor with that alphabet, in sorted (r_a, r_b) order.
 
     This is the fixpoint of :func:`maximal_common_cycle_alphabet` run on groups
     of roots at once: at the current gamma, roots are grouped by the letters
@@ -173,7 +167,7 @@ def _anchor_gammas(a: Nfa, b: Nfa) -> list[tuple[str, str, frozenset[str]]]:
                 out.setdefault(letters[r], []).append(r)
         return out
 
-    found: list[tuple[str, str, frozenset[str]]] = []
+    found: list[PumpAnchor] = []
     work = [(frozenset(a.alphabet), a.states, b.states)]
     while work:
         gamma, roots_a, roots_b = work.pop()
@@ -182,46 +176,34 @@ def _anchor_gammas(a: Nfa, b: Nfa) -> list[tuple[str, str, frozenset[str]]]:
             for lb, group_b in groups_b.items():
                 refined = la & lb
                 if refined == gamma:
-                    found.extend((r_a, r_b, gamma) for r_a in group_a for r_b in group_b)
+                    found.extend(PumpAnchor(r_a, r_b, gamma) for r_a in group_a for r_b in group_b)
                 elif refined:
                     work.append((refined, group_a, group_b))
-    found.sort(key=lambda anchor: anchor[:2])
-    return found
+    return tuple(sorted(found, key=lambda anchor: (anchor.r_a, anchor.r_b)))
 
 
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
-    """Trim both automata, lift them to the union alphabet and derive the
-    anchor relations, in sorted (r_a, r_b) order. Trimming ignores letters
-    without moves, so this equals trimming the lifted pair, and a DFA's
-    sink is dropped before the lift would write out its moves."""
+    """Trim both automata, lift them to the union alphabet, find the pump
+    anchors and the reach maps of each anchor alphabet. Trimming ignores
+    letters without moves, so this equals trimming the lifted pair, and a
+    DFA's sink is dropped before the lift would write out its moves."""
     a, b = lift_pair(trim(a), trim(b))
-
-    reach_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-    reach_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-    anchors: list[AnchorRelation] = []
-    for r_a, r_b, gamma in _anchor_gammas(a, b):
-        if gamma not in reach_a:
-            reach_a[gamma] = restricted_reach(a, gamma)
-            reach_b[gamma] = restricted_reach(b, gamma)
-        enter_a = frozenset(p for p in a.states if r_a in reach_a[gamma][p])
-        enter_b = frozenset(q for q in b.states if r_b in reach_b[gamma][q])
-        anchors.append(
-            AnchorRelation(
-                anchor=PumpAnchor(r_a, r_b, gamma),
-                enter_a=enter_a,
-                enter_b=enter_b,
-                exit_a=reach_a[gamma][r_a],
-                exit_b=reach_b[gamma][r_b],
-            )
-        )
-    return BlockProduct(a=a, b=b, anchors=tuple(anchors))
+    anchors = _anchor_gammas(a, b)
+    gammas = dict.fromkeys(anchor.gamma for anchor in anchors)
+    reach = {gamma: (restricted_reach(a, gamma), restricted_reach(b, gamma)) for gamma in gammas}
+    return BlockProduct(a=a, b=b, anchors=anchors, reach=reach)
 
 
 def _search_block_product(bp: BlockProduct):
-    """BFS from the initial pairs over letter and block edges; each anchor
-    fires at most once since its targets do not depend on the source. Letter
+    """BFS from the initial pairs over letter and block edges. Letter
     children of (p, q) come from joining the out-edges of p and q on their
-    shared letters, in (letter, child pair) order. Returns (goal_node,
+    shared letters, in (letter, child pair) order. Then the anchors that
+    (p, q) enters fire, in index order; each fires at most once, since its
+    targets do not depend on the source. The unfired anchors are indexed as
+    gamma -> r_a -> r_b -> index, so (p, q) looks up only the roots in
+    reach[gamma][0][p] x reach[gamma][1][q]. An anchor whose exit product an
+    earlier anchor already pushed is skipped: every pair of that product is
+    already in ``parents``, so it would push nothing. Returns (goal_node,
     parents) or None; deterministic via sorted exploration."""
     out_a = bp.a._out
     out_b = bp.b._out
@@ -239,7 +221,10 @@ def _search_block_product(bp: BlockProduct):
                 return node, parents
             queue.append(node)
 
-    fired: set[int] = set()
+    unfired: dict[frozenset[str], dict[str, dict[str, int]]] = {}
+    for idx, anchor in enumerate(bp.anchors):
+        unfired.setdefault(anchor.gamma, {}).setdefault(anchor.r_a, {})[anchor.r_b] = idx
+    pushed: set[tuple[frozenset[str], frozenset[str]]] = set()
     while queue:
         node = queue.popleft()
         p, q = node
@@ -255,20 +240,30 @@ def _search_block_product(bp: BlockProduct):
                     if accepting(child):
                         return child, parents
                     queue.append(child)
-        for idx, rel in enumerate(bp.anchors):
-            if idx in fired:
+        fire: list[int] = []
+        for gamma, roots in unfired.items():
+            reach_a, reach_b = bp.reach[gamma]
+            for r_a in roots.keys() & reach_a[p]:
+                row = roots[r_a]
+                fire.extend(row.pop(r_b) for r_b in row.keys() & reach_b[q])
+                if not row:
+                    del roots[r_a]
+        for idx in sorted(fire):
+            anchor = bp.anchors[idx]
+            reach_a, reach_b = bp.reach[anchor.gamma]
+            exits = (reach_a[anchor.r_a], reach_b[anchor.r_b])
+            if exits in pushed:
                 continue
-            if p in rel.enter_a and q in rel.enter_b:
-                fired.add(idx)
-                for p2 in sorted(rel.exit_a):
-                    for q2 in sorted(rel.exit_b):
-                        child = (p2, q2)
-                        if child in parents:
-                            continue
-                        parents[child] = ("block", idx, node)
-                        if accepting(child):
-                            return child, parents
-                        queue.append(child)
+            pushed.add(exits)
+            for p2 in sorted(exits[0]):
+                for q2 in sorted(exits[1]):
+                    child = (p2, q2)
+                    if child in parents:
+                        continue
+                    parents[child] = ("block", idx, node)
+                    if accepting(child):
+                        return child, parents
+                    queue.append(child)
     return None
 
 
@@ -290,19 +285,19 @@ def _reconstruct_witness(bp: BlockProduct, goal, parents) -> PatternWitness:
             continue
         connectors.append(tuple(pending))
         pending = []
-        rel = bp.anchors[payload]
-        gamma = rel.anchor.gamma
+        anchor = bp.anchors[payload]
+        gamma = anchor.gamma
         (p, q), (p2, q2) = prev, node
-        a_entry = shortest_run(bp.a, {p}, {rel.anchor.r_a}, gamma=gamma)
-        a_exit = shortest_run(bp.a, {rel.anchor.r_a}, {p2}, gamma=gamma)
-        b_entry = shortest_run(bp.b, {q}, {rel.anchor.r_b}, gamma=gamma)
-        b_exit = shortest_run(bp.b, {rel.anchor.r_b}, {q2}, gamma=gamma)
+        a_entry = shortest_run(bp.a, {p}, {anchor.r_a}, gamma=gamma)
+        a_exit = shortest_run(bp.a, {anchor.r_a}, {p2}, gamma=gamma)
+        b_entry = shortest_run(bp.b, {q}, {anchor.r_b}, gamma=gamma)
+        b_exit = shortest_run(bp.b, {anchor.r_b}, {q2}, gamma=gamma)
         assert None not in (a_entry, a_exit, b_entry, b_exit)
-        a_cycle = closed_run_covering_word(bp.a, rel.anchor.r_a, gamma)
-        b_cycle = closed_run_covering_word(bp.b, rel.anchor.r_b, gamma, a_cycle)
+        a_cycle = closed_run_covering_word(bp.a, anchor.r_a, gamma)
+        b_cycle = closed_run_covering_word(bp.b, anchor.r_b, gamma, a_cycle)
         blocks.append(
             BlockSegment(
-                anchor=rel.anchor,
+                anchor=anchor,
                 a_entry=a_entry[0],
                 a_cycle=a_cycle,
                 a_exit=a_exit[0],

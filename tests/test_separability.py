@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import aut, brute_language, check_tower, random_nfa
 from ptsep.automata import (
     AlphabetMismatchError,
     AutomatonError,
+    Nfa,
     restricted_reach,
     scc_decomposition,
 )
@@ -15,6 +17,7 @@ from ptsep.separability import (
     BlockSegment,
     PatternWitness,
     PumpAnchor,
+    _search_block_product,
     build_block_product,
     decide_separability,
     expand_pattern,
@@ -158,21 +161,52 @@ def test_maximal_common_cycle_alphabet_validates_inputs():
 # -------------------------------------------------------- block product
 
 
+def block_edges(bp):
+    """Each anchor of a block product with its enter and exit sets, in the
+    shape of :func:`referee_anchors`. The sets are derived from the
+    product's reach maps: a state enters root r when r is in its reach set,
+    so the enter sets come from inverting each map once."""
+    enter = {}
+    for gamma, maps in bp.reach.items():
+        for side, reach in enumerate(maps):
+            into = {}
+            for p, targets in reach.items():
+                for r in targets:
+                    into.setdefault(r, set()).add(p)
+            enter[gamma, side] = {r: frozenset(ps) for r, ps in into.items()}
+    out = []
+    for x in bp.anchors:
+        reach_a, reach_b = bp.reach[x.gamma]
+        out.append(
+            (
+                (x.r_a, x.r_b, x.gamma),
+                enter[x.gamma, 0][x.r_a],
+                enter[x.gamma, 1][x.r_b],
+                reach_a[x.r_a],
+                reach_b[x.r_b],
+            )
+        )
+    return out
+
+
 def test_block_product_structure_for_cycle_pair():
     bp = build_block_product(aut(AB_CYCLE), aut(BA_CYCLE))
     # the dead sink is trimmed away on both sides
     assert bp.a.states == {"s0", "s1", "s2"}
     assert bp.b.states == {"t0", "t1", "t2"}
-    seen = {(rel.anchor.r_a, rel.anchor.r_b) for rel in bp.anchors}
+    seen = {(x.r_a, x.r_b) for x in bp.anchors}
     assert seen == {("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2")}
-    # one relation per anchor, in sorted (r_a, r_b) order
-    assert [(rel.anchor.r_a, rel.anchor.r_b) for rel in bp.anchors] == sorted(seen)
-    for rel in bp.anchors:
-        assert rel.anchor.gamma == frozenset({"a", "b"})
-        assert rel.enter_a == frozenset({"s0", "s1", "s2"})
-        assert rel.exit_a == frozenset({"s1", "s2"})
-        assert rel.enter_b == frozenset({"t0", "t1", "t2"})
-        assert rel.exit_b == frozenset({"t1", "t2"})
+    # one anchor per pair, in sorted (r_a, r_b) order
+    assert [(x.r_a, x.r_b) for x in bp.anchors] == sorted(seen)
+    # one pair of reach maps per anchor alphabet
+    assert list(bp.reach) == [frozenset({"a", "b"})]
+    for (_, _, gamma), enter_a, enter_b, exit_a, exit_b in block_edges(bp):
+        assert gamma == frozenset({"a", "b"})
+        assert enter_a == frozenset({"s0", "s1", "s2"})
+        assert exit_a == frozenset({"s1", "s2"})
+        assert enter_b == frozenset({"t0", "t1", "t2"})
+        assert exit_b == frozenset({"t1", "t2"})
+    assert block_edges(bp) == referee_anchors(bp.a, bp.b)
 
 
 def referee_anchors(a, b):
@@ -209,19 +243,175 @@ def test_grouped_anchor_fixpoint_matches_the_per_pair_referee():
     anchored = 0
     for a, b in pairs:
         bp = build_block_product(a, b)
-        got = [
-            (
-                (rel.anchor.r_a, rel.anchor.r_b, rel.anchor.gamma),
-                rel.enter_a,
-                rel.enter_b,
-                rel.exit_a,
-                rel.exit_b,
-            )
-            for rel in bp.anchors
-        ]
+        got = block_edges(bp)
         assert got == referee_anchors(bp.a, bp.b)
         anchored += bool(got)
     assert anchored > 200
+
+
+def referee_search(bp, anchors):
+    """The block-product BFS with a plain anchor scan: at every dequeued
+    pair, after its letter children, every unfired anchor of ``anchors`` (in
+    the shape of :func:`referee_anchors`) that the pair enters fires, in list
+    order, and offers its whole exit product. Letter edges are read from the
+    automata's transitions. Returns (goal, parents) or None."""
+    succ = {}
+    for side, aut_ in enumerate((bp.a, bp.b)):
+        for src, sym, dst in aut_.transitions:
+            succ.setdefault((side, src, sym), []).append(dst)
+
+    def accepting(node):
+        return node[0] in bp.a.final and node[1] in bp.b.final
+
+    parents = {}
+    queue = deque()
+
+    def push(child, edge):
+        """Record an unseen child; True when it is accepting."""
+        if child in parents:
+            return False
+        parents[child] = edge
+        queue.append(child)
+        return accepting(child)
+
+    for node in sorted((p, q) for p in bp.a.initial for q in bp.b.initial):
+        if push(node, None):
+            return node, parents
+    fired = set()
+    while queue:
+        node = queue.popleft()
+        p, q = node
+        for sym in sorted(bp.a.alphabet):
+            for p2 in sorted(succ.get((0, p, sym), ())):
+                for q2 in sorted(succ.get((1, q, sym), ())):
+                    if push((p2, q2), ("letter", sym, node)):
+                        return (p2, q2), parents
+        for idx, (_, enter_a, enter_b, exit_a, exit_b) in enumerate(anchors):
+            if idx not in fired and p in enter_a and q in enter_b:
+                fired.add(idx)
+                for p2 in sorted(exit_a):
+                    for q2 in sorted(exit_b):
+                        if push((p2, q2), ("block", idx, node)):
+                            return (p2, q2), parents
+    return None
+
+
+def many_anchor_nfa(n, leave):
+    """An n-state NFA, strongly connected over {a, b} (i -a-> i+1 mod n,
+    i -b-> 2i mod n), that leaves its last cycle state on ``leave`` to its
+    final state f. For two of them every pair of cycle states is an anchor."""
+    states = [f"s{i}" for i in range(n)]
+    trans = {(states[i], "a", states[(i + 1) % n]) for i in range(n)}
+    trans |= {(states[i], "b", states[2 * i % n]) for i in range(n)}
+    trans.add((states[-1], leave, "f"))
+    return Nfa.build(
+        states=states + ["f"],
+        alphabet={"a", "b", leave},
+        transitions=trans,
+        initial={"s0"},
+        final={"f"},
+    )
+
+
+def random_moves_nfa(rng, n=300, letters="abcd", moves=900):
+    """A random NFA with ``moves`` distinct transitions over n states."""
+    states = [f"q{i}" for i in range(n)]
+    trans = set()
+    while len(trans) < moves:
+        trans.add((rng.choice(states), rng.choice(letters), rng.choice(states)))
+    return Nfa.build(
+        states=states,
+        alphabet=set(letters),
+        transitions=trans,
+        initial={"q0"},
+        final={q for q in states if rng.random() < 0.1},
+    )
+
+
+# two anchors, (r, t1) and (r, t2), that exit to the same set on side A and to
+# different sets on side B: the second adds (r, u) and may not be skipped
+SHARED_EXIT_A = """
+kind: nfa
+states: r f
+alphabet: a b c
+initial: r
+final: f
+trans: r a r
+trans: r b r
+trans: r c f
+"""
+
+SHARED_EXIT_B = """
+kind: nfa
+states: s0 t1 t2 u g
+alphabet: a b c
+initial: s0
+final: g
+trans: s0 a t1
+trans: s0 b t2
+trans: t1 a t1
+trans: t1 b t1
+trans: t1 c g
+trans: t2 a t2
+trans: t2 b t2
+trans: t2 b u
+trans: u c g
+"""
+
+
+def same_search(got, want):
+    """Equal verdicts, and on a goal the same goal and the same parents in
+    the same insertion order."""
+    if got is None or want is None:
+        return got is want
+    return got[0] == want[0] and list(got[1].items()) == list(want[1].items())
+
+
+def test_search_fires_anchors_like_the_scanning_referee():
+    rng = random.Random(777)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [instance_pair(random_circuit(n, seed)) for n in (2, 5, 13, 20, 40) for seed in (0, 1)]
+    pairs.append((aut(SHARED_EXIT_A), aut(SHARED_EXIT_B)))
+    sizes = (1, 2, 5, 12)
+    pairs += [
+        (many_anchor_nfa(m, "c"), many_anchor_nfa(n, leave))
+        for m in sizes
+        for n in sizes
+        for leave in "cd"
+    ]
+    goals = blocks = 0
+    for a, b in pairs:
+        bp = build_block_product(a, b)
+        got = _search_block_product(bp)
+        assert same_search(got, referee_search(bp, referee_anchors(bp.a, bp.b)))
+        if got is not None:
+            goals += 1
+            blocks += any(edge and edge[0] == "block" for edge in got[1].values())
+    assert goals > 200 and blocks > 40
+
+
+def test_many_anchor_family():
+    for n in (25, 50, 150):
+        assert decide_separability(many_anchor_nfa(n, "c"), many_anchor_nfa(n, "d")).separable
+    for n in (25, 50):
+        a, b = many_anchor_nfa(n, "c"), many_anchor_nfa(n, "c")
+        v = decide_separability(a, b)
+        assert not v.separable
+        assert v.witness.blocks and verify_pattern(v.witness, a, b)
+
+
+def test_random_300_state_pair_matches_the_scanning_referee():
+    rng = random.Random(300)
+    a, b = random_moves_nfa(rng), random_moves_nfa(rng)
+    bp = build_block_product(a, b)
+    assert len(bp.anchors) > 50_000
+    got = _search_block_product(bp)
+    assert same_search(got, referee_search(bp, block_edges(bp)))
+    v = decide_separability(a, b)
+    assert v.separable == (got is None)
+    if not v.separable:
+        assert verify_pattern(v.witness, a, b)
 
 
 # ---------------------------------------------------------- the decision
