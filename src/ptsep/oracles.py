@@ -8,6 +8,8 @@ running out raises :class:`Inconclusive`, never a wrong answer.
 
 from __future__ import annotations
 
+import sys
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +49,13 @@ class KProfile:
 # frozenset of pieces, whose size follows the pieces that occur
 _MASK_MAX_BITS = 1 << 12
 
+# the bytes that the step tables of all layouts may hold together, as
+# _Layout.charge counts them
+_STEP_TABLE_MAX_BYTES = 32 * 2**20
+
+_tabled: weakref.WeakSet = weakref.WeakSet()  # every layout, with its table
+_charged = 0  # the bytes charged to the tables since they were last emptied
+
 
 # pt_bounded asks for the same few layouts for every DFA it checks
 @lru_cache(maxsize=64)
@@ -54,7 +63,14 @@ def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
     """The representation of k-profiles over the sorted ``letters``:
     bitmasks when all pieces of length at most k fit in _MASK_MAX_BITS bits,
     so that a mask costs a bounded amount whatever pieces it holds, and
-    frozensets of pieces otherwise (many letters at a large k)."""
+    frozensets of pieces otherwise (many letters at a large k).
+
+    The cached layout keeps its step table (:class:`_Layout`) across
+    searches: one search meets almost only profiles it has not met before,
+    but searches over many DFAs meet the same few profiles again. A slot is
+    filled when a search first reads it, a row is kept from its profile's
+    second sighting on, and the tables of all layouts together hold at most
+    _STEP_TABLE_MAX_BYTES."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     width = bits = 1
@@ -66,14 +82,90 @@ def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
     return _Bitmasks(letters, k)
 
 
-class _Bitmasks:
-    """Piece sets as bitmasks, in the layout that :func:`_profile_configs`
-    states. ``grow`` maps each letter to the function that appends it."""
+class _Layout:
+    """What both representations of profiles share: letter codes (the
+    index among the sorted letters), ``grow``, which maps each letter to the
+    function that appends it to a profile, and the step table.
 
-    def __init__(self, letters: tuple[str, ...], k: int):
+    ``steps`` maps a profile to its row: one slot per letter code, holding
+    the profile grown by that letter, or None until a search first reads
+    it and fills it with ``fill``, the grow functions by code. So only the
+    letters a search reads are computed. A profile met for the first time
+    maps to None and its search fills a row outside the table; the second
+    time, it gets a row in the table. One search over many letters meets
+    most of its profiles once, and keeping their rows would cost it more
+    than the rows save it.
+
+    Every layout charges its table to one account, at no less than the
+    bytes it holds: a table entry at its profile's size, a row at its own
+    size and the most its slots can hold when each profile has a bounded
+    size (bitmasks), and otherwise (piece sets) each filled slot at what
+    its profile adds to the row's, whether or not the row is kept. So the
+    tables of all layouts together hold at most _STEP_TABLE_MAX_BYTES
+    (:meth:`charge`). A search that holds a row of an emptied table fills
+    it all the same, so what it yields does not depend on when the tables
+    were emptied."""
+
+    def __init__(
+        self, letters: tuple[str, ...], k: int, root, grow: dict, fill: list, slot_bytes: int
+    ):
         self.letters = letters
         self.k = k
-        self.root = 1
+        self.root = root
+        self.grow = grow
+        self.code = {sym: c for c, sym in enumerate(letters)}
+        self.steps: dict = {}
+        self.fill = fill
+        self._slot_bytes = slot_bytes  # the most one slot holds; 0 where fill charges
+        self.charged = 0
+        _tabled.add(self)
+
+    def row(self, prof) -> list:
+        """A row with no slot filled, for a profile that has no row in the
+        table: kept in the table when the profile was met before."""
+        row = [None] * len(self.letters)
+        if prof in self.steps:
+            self.steps[prof] = row
+            self.charge(sys.getsizeof(row) + len(row) * self._slot_bytes)
+        else:
+            before = sys.getsizeof(self.steps)
+            self.steps[prof] = None
+            self.charge(sys.getsizeof(self.steps) - before + self._size(prof))
+        return row
+
+    def charge(self, nbytes: int) -> None:
+        """Charge ``nbytes`` to this table. Past _STEP_TABLE_MAX_BYTES, empty
+        every other table, and this one too if it alone passes the bound:
+        the table in use is the one most likely to be read again."""
+        global _charged
+        self.charged += nbytes
+        _charged += nbytes
+        if _charged > _STEP_TABLE_MAX_BYTES:
+            for layout in _tabled:
+                if layout is not self:
+                    layout.steps.clear()
+                    layout.charged = 0
+            if self.charged > _STEP_TABLE_MAX_BYTES:
+                self.steps.clear()
+                self.charged = 0
+            _charged = self.charged
+
+    def encode(self, profile: KProfile):
+        """``profile`` in this layout, or None when it cannot be the profile
+        of a word over these letters: another k, a piece longer than k or a
+        piece with a letter outside the layout."""
+        return self._encode(profile.pieces) if profile.k == self.k else None
+
+    def _occurs(self, piece) -> bool:
+        """Whether some word over these letters has ``piece`` as a k-piece."""
+        return isinstance(piece, tuple) and len(piece) <= self.k and self.code.keys() >= set(piece)
+
+
+class _Bitmasks(_Layout):
+    """Piece sets as bitmasks, in the layout that :func:`_profile_configs`
+    states."""
+
+    def __init__(self, letters: tuple[str, ...], k: int):
         steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
         offset, width = 0, 1
         for _ in range(k if letters else 0):
@@ -81,8 +173,31 @@ class _Bitmasks:
             for c, sym in enumerate(letters):
                 steps[sym].append((level, width * (1 + c)))
             offset, width = offset + width, width * len(letters)
-        self.grow = {sym: _shifter(steps[sym]) for sym in letters}
+        grow = {sym: _shifter(steps[sym]) for sym in letters}
+        # no mask is wider than the one with every bit of the layout set
+        full = sys.getsizeof((1 << (offset + width)) - 1)
+        super().__init__(letters, k, 1, grow, [grow[sym] for sym in letters], full)
         self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
+        self.bits: dict[Word, int] = {}  # piece -> its bit as a mask, for the pieces encoded
+
+    _size = staticmethod(sys.getsizeof)
+
+    def _encode(self, pieces) -> int | None:
+        # piece p_0…p_{l-1} sits at bit sum_j (1 + code(p_j))·s^j, which is
+        # off(l) + sum_j code(p_j)·s^j; a separator's profiles share their
+        # few pieces, so each piece's bit is computed once
+        mask = 0
+        for piece in pieces:
+            bit = self.bits.get(piece)
+            if bit is None:
+                if not self._occurs(piece):
+                    return None
+                s, code = len(self.letters), self.code
+                bit = self.bits[piece] = 1 << sum(
+                    (1 + code[sym]) * s**j for j, sym in enumerate(piece)
+                )
+            mask |= bit
+        return mask
 
     def decode(self, mask: int) -> KProfile:
         """The k-profile whose piece set ``mask`` is. Each set bit's piece is
@@ -127,17 +242,38 @@ def _shifter(steps: list[tuple[int, int]]):
     return grow
 
 
-class _PieceSets:
+class _PieceSets(_Layout):
     """Piece sets as frozensets of pieces, for layouts too wide for a
     bitmask; the same interface as :class:`_Bitmasks`."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
-        self.k = k
-        self.root = frozenset({()})
-        self.grow = {sym: _extender(sym, k) for sym in letters}
+        grow = {sym: _extender(sym, k) for sym in letters}
+        fill = [_charging(self, grow[sym]) for sym in letters]
+        super().__init__(letters, k, frozenset({()}), grow, fill, 0)
+
+    @staticmethod
+    def _size(prof: frozenset[Word]) -> int:
+        # counts every piece, though other profiles may share it
+        return sys.getsizeof(prof) + sum(map(sys.getsizeof, prof))
+
+    def _encode(self, pieces) -> frozenset[Word] | None:
+        return frozenset(pieces) if all(map(self._occurs, pieces)) else None
 
     def decode(self, prof: frozenset[Word]) -> KProfile:
         return KProfile(self.k, prof)
+
+
+def _charging(layout: _PieceSets, grow):
+    """``grow``, charging what each profile it returns adds to what its
+    argument holds to ``layout``'s table: the set and its new pieces. The
+    argument is the key of the row the profile fills, charged in full."""
+
+    def fill(prof: frozenset[Word]) -> frozenset[Word]:
+        grown = grow(prof)
+        layout.charge(sys.getsizeof(grown) + sum(map(sys.getsizeof, grown - prof)))
+        return grown
+
+    return fill
 
 
 def _extender(sym: str, k: int):
@@ -168,11 +304,26 @@ def _live(d: Dfa) -> frozenset[str]:
     return d.states - {d._sink}
 
 
-def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
+# the searches of one DFA at k = 1, 2, ... come one after another
+@lru_cache(maxsize=16)
+def _edges(d: Dfa, live: bool, letters: tuple[str, ...]) -> dict[str, list[tuple[str, int]]]:
+    """Each state's moves in sorted letter order, as (target, letter code
+    among ``letters``), keeping only moves into live states when ``live``
+    is set. Built once per DFA and letters, whatever k is searched."""
+    code = {sym: c for c, sym in enumerate(letters)}
+    allowed = _live(d) if live else d.states
+    moves = [(sym, code[sym]) for sym in sorted(d.alphabet)]
+    return {
+        q: [(t, c) for sym, c in moves if (t := row[sym][0]) in allowed]
+        for q, row in d._full_out().items()
+    }
+
+
+def _profile_configs(d: Dfa, live: bool, max_nodes: int, layout: _Bitmasks | _PieceSets):
     """Yield each (state, k-profile) configuration reachable from the start
-    of ``d`` in BFS order, entering only ``allowed`` states and trying
-    letters in sorted order. Profiles stabilize, so the space is finite; a
-    new configuration beyond ``max_nodes`` raises Inconclusive. A
+    of ``d`` in BFS order, entering only live states when ``live`` is set
+    and trying letters in sorted order. Profiles stabilize, so the space is
+    finite; a new configuration beyond ``max_nodes`` raises Inconclusive. A
     configuration's successors are explored only after it is yielded, so a
     caller that stops early saves their work.
 
@@ -185,13 +336,16 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
     words get the same mask exactly when they have the same k-pieces, so
     the search visits the configurations a search over piece sets would.
     Where the masks would pass _MASK_MAX_BITS bits, the profile is the
-    piece set itself (:func:`_layout`), and the search is the same."""
-    grow = layout.grow
-    letters = sorted(d.alphabet)
-    edges = {
-        q: [(t, grow[sym]) for sym in letters if (t := row[sym][0]) in allowed]
-        for q, row in d._full_out().items()
-    }
+    piece set itself (:func:`_layout`), and the search is the same.
+
+    The steps are not recomputed: each edge (:func:`_edges`) carries its
+    letter's code, and a dequeued configuration looks its profile's row up
+    once in the layout's step table, whose slots hold the grown profiles.
+    A slot is filled the first time a search reads it; the table outlives
+    the search, from a profile's second sighting on and within the bound
+    that :class:`_Layout` states."""
+    edges = _edges(d, live, layout.letters)
+    steps, fill = layout.steps, layout.fill
     root = (d.start, layout.root)
     seen = {root}
     queue = deque([root])
@@ -199,8 +353,14 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
         node = queue.popleft()
         yield node
         state, prof = node
-        for target, step in edges[state]:
-            child = (target, step(prof))
+        row = steps.get(prof)
+        if row is None:
+            row = layout.row(prof)
+        for target, c in edges[state]:
+            grown = row[c]
+            if grown is None:
+                grown = row[c] = fill[c](prof)
+            child = (target, grown)
             if child not in seen:
                 if len(seen) >= max_nodes:
                     raise Inconclusive(f"profile search exceeded {max_nodes} configurations")
@@ -213,7 +373,7 @@ def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> s
     configurations of its minimal DFA restricted to states from which
     acceptance is still possible."""
     d = a._minimal
-    configs = _profile_configs(d, _live(d), max_nodes, layout)
+    configs = _profile_configs(d, True, max_nodes, layout)
     return {prof for state, prof in configs if state in d.final}
 
 
@@ -251,7 +411,7 @@ def separable_by_kpt(
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), k)
     masks_a = _accepted_masks(a, max_nodes, layout)
     d = b._minimal
-    configs = _profile_configs(d, _live(d), max_nodes, layout)
+    configs = _profile_configs(d, True, max_nodes, layout)
     if any(state in d.final and prof in masks_a for state, prof in configs):
         return None
     return KptSeparator(k=k, accepted_profiles=frozenset(map(layout.decode, masks_a)), side="A")
@@ -261,12 +421,18 @@ def verify_separator(
     s: KptSeparator, a: Nfa, b: Nfa, max_nodes: int = DEFAULT_MAX_NODES
 ) -> bool:
     """Recompute both profile sets at the separator's k and check containment
-    on the covered side and disjointness on the other."""
-    profs_a = reachable_profiles(a, s.k, max_nodes)
-    profs_b = reachable_profiles(b, s.k, max_nodes)
+    on the covered side and disjointness on the other. The sets are compared
+    as masks over the layout of the union alphabet, into which the
+    separator's profiles are encoded once; a profile that no word over that
+    alphabet has cannot match, so it is dropped."""
+    layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), s.k)
+    masks_a = _accepted_masks(a, max_nodes, layout)
+    masks_b = _accepted_masks(b, max_nodes, layout)
     if s.side != "A":
-        profs_a, profs_b = profs_b, profs_a
-    return profs_a <= s.accepted_profiles and not (profs_b & s.accepted_profiles)
+        masks_a, masks_b = masks_b, masks_a
+    accepted = set(map(layout.encode, s.accepted_profiles))
+    accepted.discard(None)
+    return masks_a <= accepted and accepted.isdisjoint(masks_b)
 
 
 @dataclass(frozen=True)
@@ -468,16 +634,14 @@ def pt_bounded(
     DFA independently produces a witness; otherwise the answer is None
     (inconclusive), as it is when a search overruns its budget.
     """
-    letters = tuple(sorted(d.alphabet))
+    letters, finals = tuple(sorted(d.alphabet)), d.final
     for k in range(1, kmax + 1):
         layout = _layout(letters, k)
-        # profiles met at rejecting states, then at accepting ones
-        met: tuple[set, set] = (set(), set())
+        met: dict = {}  # profile -> whether it was first met at an accepting state
         try:
-            for state, prof in _profile_configs(d, d.states, max_nodes, layout):
-                final = state in d.final
-                met[final].add(prof)
-                if prof in met[not final]:
+            for state, prof in _profile_configs(d, False, max_nodes, layout):
+                final = state in finals
+                if met.setdefault(prof, final) is not final:
                     break
             else:
                 return PtBoundedVerdict(is_pt=True, k=k)

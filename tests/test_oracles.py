@@ -1,13 +1,15 @@
+import functools
 import itertools
 import random
 import sys
 import tracemalloc
+from collections import deque
 
 import pytest
 
 from conftest import aut, brute_language, brute_profile, is_subsequence, random_nfa
-from ptsep import automata
-from ptsep.automata import Nfa, language_empty, lift_pair, product_intersection
+from ptsep import automata, oracles
+from ptsep.automata import Dfa, Nfa, language_empty, lift_pair, product_intersection
 from ptsep.oracles import (
     DeepeningVerdict,
     Inconclusive,
@@ -25,9 +27,11 @@ from ptsep.oracles import (
     verify_separator,
     verify_tower,
     _MASK_MAX_BITS,
+    _STEP_TABLE_MAX_BYTES,
     _Bitmasks,
     _layout,
     _PieceSets,
+    _profile_configs,
     _share_a_word,
 )
 from ptsep.separability import decide_separability
@@ -256,6 +260,110 @@ def test_many_letters_at_large_k_stay_within_memory():
     assert peak < 50 * 2**20
 
 
+def referee_configs(d, live, max_nodes, layout):
+    """The configurations of a plain BFS over (state, profile) that applies
+    ``layout.grow`` on every move, in the order it dequeues them, and the
+    Inconclusive message it stops with (None when it runs out). With
+    ``live``, it enters only states from which a final state is reachable."""
+    delta = {(q, sym): t for q, sym, t in d.transitions}
+    allowed = set(d.final) if live else d.states
+    while live and (more := {q for (q, _), t in delta.items() if t in allowed} - allowed):
+        allowed |= more
+    root = (d.start, layout.root)
+    configs, seen, queue = [], {root}, deque([root])
+    while queue:
+        node = queue.popleft()
+        configs.append(node)
+        state, prof = node
+        for sym in sorted(d.alphabet):
+            if delta[state, sym] in allowed:
+                child = (delta[state, sym], layout.grow[sym](prof))
+                if child not in seen:
+                    if len(seen) == max_nodes:
+                        return configs, f"profile search exceeded {max_nodes} configurations"
+                    seen.add(child)
+                    queue.append(child)
+    return configs, None
+
+
+def kernel_configs(d, live, max_nodes, layout):
+    """What ``_profile_configs`` yields, and its Inconclusive message."""
+    configs = []
+    try:
+        configs.extend(_profile_configs(d, live, max_nodes, layout))
+    except Inconclusive as exc:
+        return configs, str(exc)
+    return configs, None
+
+
+def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
+    # the minimal DFAs of the seed-4242 NFAs as pt_bounded searches them
+    # (every state, own letters), and side B of the seed-777 pairs as
+    # separable_by_kpt does (live states, union letters); each search runs
+    # three times: a profile's second sighting puts its row in the table,
+    # and the third run reads the rows
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(300):
+        d = random_nfa(rng, max_states=6)._minimal
+        cases.append((d, False, tuple(sorted(d.alphabet))))
+    rng = random.Random(777)
+    for _ in range(300):
+        a, b = random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)
+        cases.append((b._minimal, True, tuple(sorted(a.alphabet | b.alphabet))))
+    piece_sets = {}
+    ends, warm = set(), set()
+    for i, (d, live, letters) in enumerate(cases):
+        for k in (1, 2, 3, 4):
+            layouts = [_layout(letters, k)]
+            if i % 300 < 40:
+                layouts.append(piece_sets.setdefault((letters, k), _PieceSets(letters, k)))
+            for layout, max_nodes in itertools.product(layouts, (1000, 12)):
+                want = referee_configs(d, live, max_nodes, layout)
+                for _ in range(3):
+                    assert kernel_configs(d, live, max_nodes, layout) == want
+                ends.add(want[1])
+                if layout.steps.get(layout.root) is not None:
+                    warm.add(type(layout))
+    assert ends == {None, "profile search exceeded 1000 configurations",
+                    "profile search exceeded 12 configurations"}
+    assert warm == {_Bitmasks, _PieceSets}
+
+
+def sigma_star(letters):
+    return Dfa.build(["q"], letters, [("q", sym, "q") for sym in letters], ["q"], ["q"])
+
+
+def test_step_tables_stay_within_their_bound():
+    # Σ* at k = 11 over two letters has 4095-bit masks, and at k = 6 or 8
+    # over four or three letters piece sets of hundreds of pieces, so a few
+    # thousand rows on five distinct layouts pass the bound. Each search
+    # runs twice, the second time with rows in the table
+    runs = [(sigma_star("ab"), _Bitmasks(("a", "b"), 11), 6000)]
+    runs += [(sigma_star(trio), _PieceSets(tuple(trio), 8), 2000) for trio in ("abc", "abd")]
+    runs += [(sigma_star(four), _PieceSets(tuple(four), 6), 2000) for four in ("abcd", "bcde")]
+    first = runs[0]
+    want = referee_configs(first[0], False, first[2], first[1])
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        for d, layout, max_nodes in runs:
+            for _ in range(2):
+                kernel_configs(d, False, max_nodes, layout)
+                held, _ = tracemalloc.get_traced_memory()
+                assert oracles._charged <= _STEP_TABLE_MAX_BYTES
+                assert held - base <= _STEP_TABLE_MAX_BYTES
+                # the account is never below what the tables hold, beside the
+                # layouts' own few kilobytes
+                assert held - base <= oracles._charged + 2**16
+    finally:
+        tracemalloc.stop()
+    assert sum(layout.charged for _, layout, _ in runs) <= _STEP_TABLE_MAX_BYTES
+    assert not first[1].steps  # emptied on the way
+    for _ in range(3):
+        assert kernel_configs(first[0], False, first[2], first[1]) == want
+
+
 def test_reachable_profiles_frozen_value():
     assert reachable_profiles(aut(AA_PLUS), 1) == frozenset(
         {KProfile(1, frozenset({(), ("a",)}))}
@@ -331,6 +439,56 @@ def test_finite_pair_separates_at_two():
     sep = separable_by_kpt(a, b, 2)
     assert sep is not None and sep.k == 2
     assert verify_separator(sep, a, b)
+
+
+def test_verify_separator_rejects_tampered_separators():
+    # against the profile sets themselves: each side's reachable profiles
+    # compared with the separator's as KProfile sets
+    def referee(s, a, b):
+        covered, other = (profiles(a, s.k), profiles(b, s.k))[:: 1 if s.side == "A" else -1]
+        return covered <= s.accepted_profiles and not (other & s.accepted_profiles)
+
+    profiles = functools.lru_cache(reachable_profiles)
+    rng = random.Random(777)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    rejected = 0
+    for a, b in pairs:
+        for k in (1, 2):
+            try:
+                sep = separable_by_kpt(a, b, k, max_nodes=1000)
+            except Inconclusive:
+                continue
+            if sep is None:
+                continue
+            assert verify_separator(sep, a, b)
+            profs_b = profiles(b, k)
+            impossible = {  # no word over the union alphabet has these
+                KProfile(k, frozenset({(), ("x",)})),
+                KProfile(k, frozenset({()} | {("a",) * n for n in range(1, k + 2)})),
+                KProfile(k + 1, frozenset({()})),
+            }
+            tampered = [
+                KptSeparator(k, sep.accepted_profiles | impossible, "A"),
+                KptSeparator(3 - k, sep.accepted_profiles, "A"),  # the other k
+                KptSeparator(k, sep.accepted_profiles, "B"),
+            ]
+            if sep.accepted_profiles:  # a dropped A-profile
+                dropped = min(sep.accepted_profiles, key=repr)
+                tampered.append(KptSeparator(k, sep.accepted_profiles - {dropped}, "A"))
+            if profs_b:  # an added B-profile
+                added = min(profs_b, key=repr)
+                tampered.append(KptSeparator(k, sep.accepted_profiles | {added}, "A"))
+            for s in tampered:
+                got = verify_separator(s, a, b)
+                assert got == referee(s, a, b)
+                rejected += not got
+            assert verify_separator(tampered[0], a, b)
+            assert not verify_separator(tampered[1], a, b) or not sep.accepted_profiles
+            assert all(not verify_separator(s, a, b) for s in tampered[3:])
+    assert rejected > 300
+    a, b = aut(AA_PLUS), aut(BB_PLUS)
+    with pytest.raises(Inconclusive):
+        verify_separator(separable_by_kpt(a, b, 1), a, b, max_nodes=1)
 
 
 # ---------------------------------------------------------------------- towers
