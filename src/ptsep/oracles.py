@@ -8,8 +8,6 @@ running out raises :class:`Inconclusive`, never a wrong answer.
 
 from __future__ import annotations
 
-import sys
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +47,11 @@ class KProfile:
 # frozenset of pieces, whose size follows the pieces that occur
 _MASK_MAX_BITS = 1 << 12
 
-# the bytes that the step tables of all layouts may hold together, as
-# _Layout.charge counts them
-_STEP_TABLE_MAX_BYTES = 32 * 2**20
-
-_tabled: weakref.WeakSet = weakref.WeakSet()  # every layout, with its table
-_charged = 0  # the bytes charged to the tables since they were last emptied
+# the slots that the step tables of all layouts may keep together: one per
+# profile kept and one per slot of its row, each holding a mask of at most
+# _MASK_MAX_BITS bits (under 600 bytes, with the reference to it)
+_STEP_TABLE_MAX_SLOTS = 1 << 16
+_kept_slots = 0  # the slots kept since the tables were last dropped
 
 
 # pt_bounded asks for the same few layouts for every DFA it checks
@@ -65,12 +62,13 @@ def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
     so that a mask costs a bounded amount whatever pieces it holds, and
     frozensets of pieces otherwise (many letters at a large k).
 
-    The cached layout keeps its step table (:class:`_Layout`) across
-    searches: one search meets almost only profiles it has not met before,
-    but searches over many DFAs meet the same few profiles again. A slot is
-    filled when a search first reads it, a row is kept from its profile's
-    second sighting on, and the tables of all layouts together hold at most
-    _STEP_TABLE_MAX_BYTES."""
+    A cached bitmask layout keeps its step table (:meth:`_Bitmasks.row`)
+    across searches: one search meets almost only profiles it has not met
+    before, but searches over many DFAs meet the same few profiles again.
+    The tables of all layouts together keep at most _STEP_TABLE_MAX_SLOTS
+    slots; the entry that would pass it first drops every table, with this
+    cache. A layout that the cache evicts takes its table with it, and its
+    slots stay counted until the next drop."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     width = bits = 1
@@ -85,70 +83,24 @@ def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
 class _Layout:
     """What both representations of profiles share: letter codes (the
     index among the sorted letters), ``grow``, which maps each letter to the
-    function that appends it to a profile, and the step table.
+    function that appends it to a profile, and ``steps``, the step table,
+    which maps a profile to its row: one slot per letter code, holding the
+    profile grown by that letter, or None until a search first reads it.
+    Only bitmask layouts keep rows (:meth:`_Bitmasks.row`); here the table
+    stays empty, and a search grows every profile with ``grow``."""
 
-    ``steps`` maps a profile to its row: one slot per letter code, holding
-    the profile grown by that letter, or None until a search first reads
-    it and fills it with ``fill``, the grow functions by code. So only the
-    letters a search reads are computed. A profile met for the first time
-    maps to None and its search fills a row outside the table; the second
-    time, it gets a row in the table. One search over many letters meets
-    most of its profiles once, and keeping their rows would cost it more
-    than the rows save it.
-
-    Every layout charges its table to one account, at no less than the
-    bytes it holds: a table entry at its profile's size, a row at its own
-    size and the most its slots can hold when each profile has a bounded
-    size (bitmasks), and otherwise (piece sets) each filled slot at what
-    its profile adds to the row's, whether or not the row is kept. So the
-    tables of all layouts together hold at most _STEP_TABLE_MAX_BYTES
-    (:meth:`charge`). A search that holds a row of an emptied table fills
-    it all the same, so what it yields does not depend on when the tables
-    were emptied."""
-
-    def __init__(
-        self, letters: tuple[str, ...], k: int, root, grow: dict, fill: list, slot_bytes: int
-    ):
+    def __init__(self, letters: tuple[str, ...], k: int, root, grow: dict):
         self.letters = letters
         self.k = k
         self.root = root
         self.grow = grow
         self.code = {sym: c for c, sym in enumerate(letters)}
         self.steps: dict = {}
-        self.fill = fill
-        self._slot_bytes = slot_bytes  # the most one slot holds; 0 where fill charges
-        self.charged = 0
-        _tabled.add(self)
 
-    def row(self, prof) -> list:
-        """A row with no slot filled, for a profile that has no row in the
-        table: kept in the table when the profile was met before."""
-        row = [None] * len(self.letters)
-        if prof in self.steps:
-            self.steps[prof] = row
-            self.charge(sys.getsizeof(row) + len(row) * self._slot_bytes)
-        else:
-            before = sys.getsizeof(self.steps)
-            self.steps[prof] = None
-            self.charge(sys.getsizeof(self.steps) - before + self._size(prof))
-        return row
-
-    def charge(self, nbytes: int) -> None:
-        """Charge ``nbytes`` to this table. Past _STEP_TABLE_MAX_BYTES, empty
-        every other table, and this one too if it alone passes the bound:
-        the table in use is the one most likely to be read again."""
-        global _charged
-        self.charged += nbytes
-        _charged += nbytes
-        if _charged > _STEP_TABLE_MAX_BYTES:
-            for layout in _tabled:
-                if layout is not self:
-                    layout.steps.clear()
-                    layout.charged = 0
-            if self.charged > _STEP_TABLE_MAX_BYTES:
-                self.steps.clear()
-                self.charged = 0
-            _charged = self.charged
+    def row(self, prof) -> list | None:
+        """The row of ``prof``, which has none in the table: None, for a
+        search to grow ``prof`` itself."""
+        return None
 
     def encode(self, profile: KProfile):
         """``profile`` in this layout, or None when it cannot be the profile
@@ -173,14 +125,34 @@ class _Bitmasks(_Layout):
             for c, sym in enumerate(letters):
                 steps[sym].append((level, width * (1 + c)))
             offset, width = offset + width, width * len(letters)
-        grow = {sym: _shifter(steps[sym]) for sym in letters}
-        # no mask is wider than the one with every bit of the layout set
-        full = sys.getsizeof((1 << (offset + width)) - 1)
-        super().__init__(letters, k, 1, grow, [grow[sym] for sym in letters], full)
+        super().__init__(letters, k, 1, {sym: _shifter(steps[sym]) for sym in letters})
         self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
         self.bits: dict[Word, int] = {}  # piece -> its bit as a mask, for the pieces encoded
 
-    _size = staticmethod(sys.getsizeof)
+    def row(self, prof: int) -> list | None:
+        """The row of ``prof``, which has none in the table. The first time
+        ``prof`` is met, the table keeps only ``prof`` and the answer is
+        None: one search over many letters meets most of its profiles once,
+        and filling rows it never reads again would cost it more than they
+        save. The second time, the table keeps an empty row, whose slots the
+        searches fill as they read them.
+
+        Each profile kept and each slot of its row counts against
+        _STEP_TABLE_MAX_SLOTS; an entry that might pass it first drops every
+        table. A search that holds a row of a dropped table fills it all the
+        same, so what it yields does not depend on when tables are dropped."""
+        global _kept_slots
+        if _kept_slots + len(self.letters) > _STEP_TABLE_MAX_SLOTS:
+            _layout.cache_clear()
+            self.steps.clear()
+            _kept_slots = 0
+        if prof in self.steps:
+            row = self.steps[prof] = [None] * len(self.letters)
+            _kept_slots += len(row)
+            return row
+        self.steps[prof] = None
+        _kept_slots += 1
+        return None
 
     def _encode(self, pieces) -> int | None:
         # piece p_0…p_{l-1} sits at bit sum_j (1 + code(p_j))·s^j, which is
@@ -244,36 +216,16 @@ def _shifter(steps: list[tuple[int, int]]):
 
 class _PieceSets(_Layout):
     """Piece sets as frozensets of pieces, for layouts too wide for a
-    bitmask; the same interface as :class:`_Bitmasks`."""
+    bitmask; the same interface as :class:`_Bitmasks`, with no step table."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
-        grow = {sym: _extender(sym, k) for sym in letters}
-        fill = [_charging(self, grow[sym]) for sym in letters]
-        super().__init__(letters, k, frozenset({()}), grow, fill, 0)
-
-    @staticmethod
-    def _size(prof: frozenset[Word]) -> int:
-        # counts every piece, though other profiles may share it
-        return sys.getsizeof(prof) + sum(map(sys.getsizeof, prof))
+        super().__init__(letters, k, frozenset({()}), {sym: _extender(sym, k) for sym in letters})
 
     def _encode(self, pieces) -> frozenset[Word] | None:
         return frozenset(pieces) if all(map(self._occurs, pieces)) else None
 
     def decode(self, prof: frozenset[Word]) -> KProfile:
         return KProfile(self.k, prof)
-
-
-def _charging(layout: _PieceSets, grow):
-    """``grow``, charging what each profile it returns adds to what its
-    argument holds to ``layout``'s table: the set and its new pieces. The
-    argument is the key of the row the profile fills, charged in full."""
-
-    def fill(prof: frozenset[Word]) -> frozenset[Word]:
-        grown = grow(prof)
-        layout.charge(sys.getsizeof(grown) + sum(map(sys.getsizeof, grown - prof)))
-        return grown
-
-    return fill
 
 
 def _extender(sym: str, k: int):
@@ -304,26 +256,11 @@ def _live(d: Dfa) -> frozenset[str]:
     return d.states - {d._sink}
 
 
-# the searches of one DFA at k = 1, 2, ... come one after another
-@lru_cache(maxsize=16)
-def _edges(d: Dfa, live: bool, letters: tuple[str, ...]) -> dict[str, list[tuple[str, int]]]:
-    """Each state's moves in sorted letter order, as (target, letter code
-    among ``letters``), keeping only moves into live states when ``live``
-    is set. Built once per DFA and letters, whatever k is searched."""
-    code = {sym: c for c, sym in enumerate(letters)}
-    allowed = _live(d) if live else d.states
-    moves = [(sym, code[sym]) for sym in sorted(d.alphabet)]
-    return {
-        q: [(t, c) for sym, c in moves if (t := row[sym][0]) in allowed]
-        for q, row in d._full_out().items()
-    }
-
-
-def _profile_configs(d: Dfa, live: bool, max_nodes: int, layout: _Bitmasks | _PieceSets):
+def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
     """Yield each (state, k-profile) configuration reachable from the start
-    of ``d`` in BFS order, entering only live states when ``live`` is set
-    and trying letters in sorted order. Profiles stabilize, so the space is
-    finite; a new configuration beyond ``max_nodes`` raises Inconclusive. A
+    of ``d`` in BFS order, entering only ``allowed`` states and trying
+    letters in sorted order. Profiles stabilize, so the space is finite; a
+    new configuration beyond ``max_nodes`` raises Inconclusive. A
     configuration's successors are explored only after it is yielded, so a
     caller that stops early saves their work.
 
@@ -338,14 +275,18 @@ def _profile_configs(d: Dfa, live: bool, max_nodes: int, layout: _Bitmasks | _Pi
     Where the masks would pass _MASK_MAX_BITS bits, the profile is the
     piece set itself (:func:`_layout`), and the search is the same.
 
-    The steps are not recomputed: each edge (:func:`_edges`) carries its
-    letter's code, and a dequeued configuration looks its profile's row up
-    once in the layout's step table, whose slots hold the grown profiles.
-    A slot is filled the first time a search reads it; the table outlives
-    the search, from a profile's second sighting on and within the bound
-    that :class:`_Layout` states."""
-    edges = _edges(d, live, layout.letters)
-    steps, fill = layout.steps, layout.fill
+    Each edge carries its letter's code beside its grow function, and a
+    dequeued configuration looks its profile's row up once in the layout's
+    step table. A profile with a row reads its grown profiles from the
+    row's slots, filling a slot the first time a search reads it; one with
+    no row (met for the first time, or in a piece-set layout) is grown on
+    every edge, as it would be with no table (:meth:`_Bitmasks.row`)."""
+    grow, code, letters = layout.grow, layout.code, sorted(d.alphabet)
+    edges = {
+        q: [(t, code[sym], grow[sym]) for sym in letters if (t := out[sym][0]) in allowed]
+        for q, out in d._full_out().items()
+    }
+    steps = layout.steps
     root = (d.start, layout.root)
     seen = {root}
     queue = deque([root])
@@ -356,10 +297,13 @@ def _profile_configs(d: Dfa, live: bool, max_nodes: int, layout: _Bitmasks | _Pi
         row = steps.get(prof)
         if row is None:
             row = layout.row(prof)
-        for target, c in edges[state]:
-            grown = row[c]
-            if grown is None:
-                grown = row[c] = fill[c](prof)
+        for target, c, step in edges[state]:
+            if row is None:
+                grown = step(prof)
+            else:
+                grown = row[c]
+                if grown is None:
+                    grown = row[c] = step(prof)
             child = (target, grown)
             if child not in seen:
                 if len(seen) >= max_nodes:
@@ -373,7 +317,7 @@ def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> s
     configurations of its minimal DFA restricted to states from which
     acceptance is still possible."""
     d = a._minimal
-    configs = _profile_configs(d, True, max_nodes, layout)
+    configs = _profile_configs(d, _live(d), max_nodes, layout)
     return {prof for state, prof in configs if state in d.final}
 
 
@@ -411,7 +355,7 @@ def separable_by_kpt(
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), k)
     masks_a = _accepted_masks(a, max_nodes, layout)
     d = b._minimal
-    configs = _profile_configs(d, True, max_nodes, layout)
+    configs = _profile_configs(d, _live(d), max_nodes, layout)
     if any(state in d.final and prof in masks_a for state, prof in configs):
         return None
     return KptSeparator(k=k, accepted_profiles=frozenset(map(layout.decode, masks_a)), side="A")
@@ -639,7 +583,7 @@ def pt_bounded(
         layout = _layout(letters, k)
         met: dict = {}  # profile -> whether it was first met at an accepting state
         try:
-            for state, prof in _profile_configs(d, False, max_nodes, layout):
+            for state, prof in _profile_configs(d, d.states, max_nodes, layout):
                 final = state in finals
                 if met.setdefault(prof, final) is not final:
                     break

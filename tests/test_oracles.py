@@ -27,7 +27,7 @@ from ptsep.oracles import (
     verify_separator,
     verify_tower,
     _MASK_MAX_BITS,
-    _STEP_TABLE_MAX_BYTES,
+    _STEP_TABLE_MAX_SLOTS,
     _Bitmasks,
     _layout,
     _PieceSets,
@@ -290,7 +290,7 @@ def kernel_configs(d, live, max_nodes, layout):
     """What ``_profile_configs`` yields, and its Inconclusive message."""
     configs = []
     try:
-        configs.extend(_profile_configs(d, live, max_nodes, layout))
+        configs.extend(_profile_configs(d, oracles._live(d) if live else d.states, max_nodes, layout))
     except Inconclusive as exc:
         return configs, str(exc)
     return configs, None
@@ -301,7 +301,7 @@ def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
     # (every state, own letters), and side B of the seed-777 pairs as
     # separable_by_kpt does (live states, union letters); each search runs
     # three times: a profile's second sighting puts its row in the table,
-    # and the third run reads the rows
+    # and the third run reads the rows. Piece sets keep no table
     rng = random.Random(4242)
     cases = []
     for _ in range(300):
@@ -312,7 +312,7 @@ def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
         a, b = random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)
         cases.append((b._minimal, True, tuple(sorted(a.alphabet | b.alphabet))))
     piece_sets = {}
-    ends, warm = set(), set()
+    ends, warm = set(), False
     for i, (d, live, letters) in enumerate(cases):
         for k in (1, 2, 3, 4):
             layouts = [_layout(letters, k)]
@@ -323,11 +323,10 @@ def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
                 for _ in range(3):
                     assert kernel_configs(d, live, max_nodes, layout) == want
                 ends.add(want[1])
-                if layout.steps.get(layout.root) is not None:
-                    warm.add(type(layout))
+            warm |= layouts[0].steps.get(layouts[0].root) is not None
     assert ends == {None, "profile search exceeded 1000 configurations",
                     "profile search exceeded 12 configurations"}
-    assert warm == {_Bitmasks, _PieceSets}
+    assert warm and not any(layout.steps for layout in piece_sets.values())
 
 
 def sigma_star(letters):
@@ -335,33 +334,29 @@ def sigma_star(letters):
 
 
 def test_step_tables_stay_within_their_bound():
-    # Σ* at k = 11 over two letters has 4095-bit masks, and at k = 6 or 8
-    # over four or three letters piece sets of hundreds of pieces, so a few
-    # thousand rows on five distinct layouts pass the bound. Each search
-    # runs twice, the second time with rows in the table
-    runs = [(sigma_star("ab"), _Bitmasks(("a", "b"), 11), 6000)]
-    runs += [(sigma_star(trio), _PieceSets(tuple(trio), 8), 2000) for trio in ("abc", "abd")]
-    runs += [(sigma_star(four), _PieceSets(tuple(four), 6), 2000) for four in ("abcd", "bcde")]
-    first = runs[0]
-    want = referee_configs(first[0], False, first[2], first[1])
+    # Σ* over 16 letters at k = 2 has 273-bit masks and rows of 16 slots.
+    # Each search runs twice, so its profiles get rows the second time: on
+    # ten distinct layouts, about three times the slots the bound allows
+    alphabets = [tuple(f"{chr(97 + i)}{j}" for i in range(16)) for j in range(10)]
+    sigmas = [sigma_star(letters) for letters in alphabets]
+    want = referee_configs(sigmas[0], False, 20000, _layout(alphabets[0], 2))
+    # a slot refers to a mask no wider than the layout's, and a kept
+    # profile adds that mask and its share of the table's dict
+    per_slot = sys.getsizeof((1 << 273) - 1) + 64
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        for d, layout, max_nodes in runs:
+        for d, letters in zip(sigmas, alphabets):
             for _ in range(2):
-                kernel_configs(d, False, max_nodes, layout)
+                kernel_configs(d, False, 20000, _layout(letters, 2))
                 held, _ = tracemalloc.get_traced_memory()
-                assert oracles._charged <= _STEP_TABLE_MAX_BYTES
-                assert held - base <= _STEP_TABLE_MAX_BYTES
-                # the account is never below what the tables hold, beside the
-                # layouts' own few kilobytes
-                assert held - base <= oracles._charged + 2**16
+                assert oracles._kept_slots <= _STEP_TABLE_MAX_SLOTS
+                assert held - base <= _STEP_TABLE_MAX_SLOTS * per_slot
     finally:
         tracemalloc.stop()
-    assert sum(layout.charged for _, layout, _ in runs) <= _STEP_TABLE_MAX_BYTES
-    assert not first[1].steps  # emptied on the way
+    assert not _layout(alphabets[0], 2).steps  # dropped on the way
     for _ in range(3):
-        assert kernel_configs(first[0], False, first[2], first[1]) == want
+        assert kernel_configs(sigmas[0], False, 20000, _layout(alphabets[0], 2)) == want
 
 
 def test_reachable_profiles_frozen_value():
