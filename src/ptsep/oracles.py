@@ -47,28 +47,24 @@ class KProfile:
 # frozenset of pieces, whose size follows the pieces that occur
 _MASK_MAX_BITS = 1 << 12
 
-# the slots that the step tables of all layouts may keep together: one per
-# profile kept and one per slot of its row, each holding a mask of at most
-# _MASK_MAX_BITS bits (under 600 bytes, with the reference to it)
-_STEP_TABLE_MAX_SLOTS = 1 << 16
-_kept_slots = 0  # the slots kept since the tables were last dropped
+# the grown masks that one bitmask layout may cache, split evenly across its
+# letters (none past this many letters); _layout keeps at most 32 layouts, so
+# all caches together hold at most 32 times this many masks
+_GROWN_MASKS_PER_LAYOUT = 1 << 11
 
 
 # pt_bounded asks for the same few layouts for every DFA it checks
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
 def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
     """The representation of k-profiles over the sorted ``letters``:
     bitmasks when all pieces of length at most k fit in _MASK_MAX_BITS bits,
     so that a mask costs a bounded amount whatever pieces it holds, and
     frozensets of pieces otherwise (many letters at a large k).
 
-    A cached bitmask layout keeps its step table (:meth:`_Bitmasks.row`)
+    A cached bitmask layout keeps the masks its grow functions computed
     across searches: one search meets almost only profiles it has not met
     before, but searches over many DFAs meet the same few profiles again.
-    The tables of all layouts together keep at most _STEP_TABLE_MAX_SLOTS
-    slots; the entry that would pass it first drops every table, with this
-    cache. A layout that the cache evicts takes its table with it, and its
-    slots stay counted until the next drop."""
+    A layout that this cache evicts takes its grown masks with it."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     width = bits = 1
@@ -82,12 +78,8 @@ def _layout(letters: tuple[str, ...], k: int) -> _Bitmasks | _PieceSets:
 
 class _Layout:
     """What both representations of profiles share: letter codes (the
-    index among the sorted letters), ``grow``, which maps each letter to the
-    function that appends it to a profile, and ``steps``, the step table,
-    which maps a profile to its row: one slot per letter code, holding the
-    profile grown by that letter, or None until a search first reads it.
-    Only bitmask layouts keep rows (:meth:`_Bitmasks.row`); here the table
-    stays empty, and a search grows every profile with ``grow``."""
+    index among the sorted letters) and ``grow``, which maps each letter to
+    the function that appends it to a profile."""
 
     def __init__(self, letters: tuple[str, ...], k: int, root, grow: dict):
         self.letters = letters
@@ -95,12 +87,6 @@ class _Layout:
         self.root = root
         self.grow = grow
         self.code = {sym: c for c, sym in enumerate(letters)}
-        self.steps: dict = {}
-
-    def row(self, prof) -> list | None:
-        """The row of ``prof``, which has none in the table: None, for a
-        search to grow ``prof`` itself."""
-        return None
 
     def encode(self, profile: KProfile):
         """``profile`` in this layout, or None when it cannot be the profile
@@ -115,7 +101,8 @@ class _Layout:
 
 class _Bitmasks(_Layout):
     """Piece sets as bitmasks, in the layout that :func:`_profile_configs`
-    states."""
+    states. Each letter's grow function is an lru_cache of at most
+    _GROWN_MASKS_PER_LAYOUT // s grown masks for s letters."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
         steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
@@ -125,34 +112,10 @@ class _Bitmasks(_Layout):
             for c, sym in enumerate(letters):
                 steps[sym].append((level, width * (1 + c)))
             offset, width = offset + width, width * len(letters)
-        super().__init__(letters, k, 1, {sym: _shifter(steps[sym]) for sym in letters})
+        cached = lru_cache(maxsize=_GROWN_MASKS_PER_LAYOUT // max(len(letters), 1))
+        super().__init__(letters, k, 1, {sym: cached(_shifter(steps[sym])) for sym in letters})
         self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
         self.bits: dict[Word, int] = {}  # piece -> its bit as a mask, for the pieces encoded
-
-    def row(self, prof: int) -> list | None:
-        """The row of ``prof``, which has none in the table. The first time
-        ``prof`` is met, the table keeps only ``prof`` and the answer is
-        None: one search over many letters meets most of its profiles once,
-        and filling rows it never reads again would cost it more than they
-        save. The second time, the table keeps an empty row, whose slots the
-        searches fill as they read them.
-
-        Each profile kept and each slot of its row counts against
-        _STEP_TABLE_MAX_SLOTS; an entry that might pass it first drops every
-        table. A search that holds a row of a dropped table fills it all the
-        same, so what it yields does not depend on when tables are dropped."""
-        global _kept_slots
-        if _kept_slots + len(self.letters) > _STEP_TABLE_MAX_SLOTS:
-            _layout.cache_clear()
-            self.steps.clear()
-            _kept_slots = 0
-        if prof in self.steps:
-            row = self.steps[prof] = [None] * len(self.letters)
-            _kept_slots += len(row)
-            return row
-        self.steps[prof] = None
-        _kept_slots += 1
-        return None
 
     def _encode(self, pieces) -> int | None:
         # piece p_0…p_{l-1} sits at bit sum_j (1 + code(p_j))·s^j, which is
@@ -216,7 +179,7 @@ def _shifter(steps: list[tuple[int, int]]):
 
 class _PieceSets(_Layout):
     """Piece sets as frozensets of pieces, for layouts too wide for a
-    bitmask; the same interface as :class:`_Bitmasks`, with no step table."""
+    bitmask; the same interface as :class:`_Bitmasks`, with no cache."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
         super().__init__(letters, k, frozenset({()}), {sym: _extender(sym, k) for sym in letters})
@@ -273,20 +236,12 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
     words get the same mask exactly when they have the same k-pieces, so
     the search visits the configurations a search over piece sets would.
     Where the masks would pass _MASK_MAX_BITS bits, the profile is the
-    piece set itself (:func:`_layout`), and the search is the same.
-
-    Each edge carries its letter's code beside its grow function, and a
-    dequeued configuration looks its profile's row up once in the layout's
-    step table. A profile with a row reads its grown profiles from the
-    row's slots, filling a slot the first time a search reads it; one with
-    no row (met for the first time, or in a piece-set layout) is grown on
-    every edge, as it would be with no table (:meth:`_Bitmasks.row`)."""
-    grow, code, letters = layout.grow, layout.code, sorted(d.alphabet)
+    piece set itself (:func:`_layout`), and the search is the same."""
+    grow, letters = layout.grow, sorted(d.alphabet)
     edges = {
-        q: [(t, code[sym], grow[sym]) for sym in letters if (t := out[sym][0]) in allowed]
+        q: [(t, grow[sym]) for sym in letters if (t := out[sym][0]) in allowed]
         for q, out in d._full_out().items()
     }
-    steps = layout.steps
     root = (d.start, layout.root)
     seen = {root}
     queue = deque([root])
@@ -294,17 +249,8 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
         node = queue.popleft()
         yield node
         state, prof = node
-        row = steps.get(prof)
-        if row is None:
-            row = layout.row(prof)
-        for target, c, step in edges[state]:
-            if row is None:
-                grown = step(prof)
-            else:
-                grown = row[c]
-                if grown is None:
-                    grown = row[c] = step(prof)
-            child = (target, grown)
+        for target, step in edges[state]:
+            child = (target, step(prof))
             if child not in seen:
                 if len(seen) >= max_nodes:
                     raise Inconclusive(f"profile search exceeded {max_nodes} configurations")
@@ -368,7 +314,10 @@ def verify_separator(
     on the covered side and disjointness on the other. The sets are compared
     as masks over the layout of the union alphabet, into which the
     separator's profiles are encoded once; a profile that no word over that
-    alphabet has cannot match, so it is dropped."""
+    alphabet has cannot match, so it is dropped. A separator whose side is
+    neither "A" nor "B", or whose k is negative, does not verify."""
+    if s.side not in ("A", "B") or s.k < 0:
+        return False
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), s.k)
     masks_a = _accepted_masks(a, max_nodes, layout)
     masks_b = _accepted_masks(b, max_nodes, layout)

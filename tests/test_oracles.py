@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+import weakref
 from collections import deque
 
 import pytest
@@ -26,8 +27,8 @@ from ptsep.oracles import (
     subsequence,
     verify_separator,
     verify_tower,
+    _GROWN_MASKS_PER_LAYOUT,
     _MASK_MAX_BITS,
-    _STEP_TABLE_MAX_SLOTS,
     _Bitmasks,
     _layout,
     _PieceSets,
@@ -262,9 +263,11 @@ def test_many_letters_at_large_k_stay_within_memory():
 
 def referee_configs(d, live, max_nodes, layout):
     """The configurations of a plain BFS over (state, profile) that applies
-    ``layout.grow`` on every move, in the order it dequeues them, and the
-    Inconclusive message it stops with (None when it runs out). With
-    ``live``, it enters only states from which a final state is reachable."""
+    the uncached grow function of ``layout`` on every move, in the order it
+    dequeues them, and the Inconclusive message it stops with (None when it
+    runs out). With ``live``, it enters only states from which a final state
+    is reachable."""
+    grow = {sym: getattr(f, "__wrapped__", f) for sym, f in layout.grow.items()}
     delta = {(q, sym): t for q, sym, t in d.transitions}
     allowed = set(d.final) if live else d.states
     while live and (more := {q for (q, _), t in delta.items() if t in allowed} - allowed):
@@ -277,7 +280,7 @@ def referee_configs(d, live, max_nodes, layout):
         state, prof = node
         for sym in sorted(d.alphabet):
             if delta[state, sym] in allowed:
-                child = (delta[state, sym], layout.grow[sym](prof))
+                child = (delta[state, sym], grow[sym](prof))
                 if child not in seen:
                     if len(seen) == max_nodes:
                         return configs, f"profile search exceeded {max_nodes} configurations"
@@ -296,12 +299,19 @@ def kernel_configs(d, live, max_nodes, layout):
     return configs, None
 
 
-def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
+def cached_masks(layouts):
+    """The grown masks that the grow functions of the bitmask ``layouts``
+    cache."""
+    return sum(grow.cache_info().currsize for layout in layouts for grow in layout.grow.values())
+
+
+def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_caches():
     # the minimal DFAs of the seed-4242 NFAs as pt_bounded searches them
     # (every state, own letters), and side B of the seed-777 pairs as
     # separable_by_kpt does (live states, union letters); each search runs
-    # three times: a profile's second sighting puts its row in the table,
-    # and the third run reads the rows. Piece sets keep no table
+    # three times: the first may meet empty caches, the others read the
+    # masks it cached. Piece sets cache nothing
+    _layout.cache_clear()
     rng = random.Random(4242)
     cases = []
     for _ in range(300):
@@ -312,10 +322,11 @@ def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
         a, b = random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)
         cases.append((b._minimal, True, tuple(sorted(a.alphabet | b.alphabet))))
     piece_sets = {}
-    ends, warm = set(), False
+    ends, cold, warm = set(), False, False
     for i, (d, live, letters) in enumerate(cases):
         for k in (1, 2, 3, 4):
             layouts = [_layout(letters, k)]
+            cold |= bool(letters) and not cached_masks(layouts)
             if i % 300 < 40:
                 layouts.append(piece_sets.setdefault((letters, k), _PieceSets(letters, k)))
             for layout, max_nodes in itertools.product(layouts, (1000, 12)):
@@ -323,40 +334,46 @@ def test_profile_search_matches_a_plain_bfs_on_cold_and_warm_tables():
                 for _ in range(3):
                     assert kernel_configs(d, live, max_nodes, layout) == want
                 ends.add(want[1])
-            warm |= layouts[0].steps.get(layouts[0].root) is not None
+            warm |= any(grow.cache_info().hits for grow in layouts[0].grow.values())
     assert ends == {None, "profile search exceeded 1000 configurations",
                     "profile search exceeded 12 configurations"}
-    assert warm and not any(layout.steps for layout in piece_sets.values())
+    assert cold and warm
+    assert not any(hasattr(grow, "cache_info")
+                   for layout in piece_sets.values() for grow in layout.grow.values())
 
 
 def sigma_star(letters):
     return Dfa.build(["q"], letters, [("q", sym, "q") for sym in letters], ["q"], ["q"])
 
 
-def test_step_tables_stay_within_their_bound():
-    # Σ* over 16 letters at k = 2 has 273-bit masks and rows of 16 slots.
-    # Each search runs twice, so its profiles get rows the second time: on
-    # ten distinct layouts, about three times the slots the bound allows
-    alphabets = [tuple(f"{chr(97 + i)}{j}" for i in range(16)) for j in range(10)]
+def test_grown_mask_caches_stay_within_their_bound():
+    # Σ* over 16 letters at k = 2 has 273-bit masks, and one search at 5000
+    # configurations grows about 300 distinct profiles by each letter, past
+    # the 128 masks a letter's cache keeps. Forty distinct layouts pass the
+    # 32 that _layout keeps, so it evicts whole layouts too
+    _layout.cache_clear()
+    alphabets = [tuple(f"{chr(97 + i)}{j}" for i in range(16)) for j in range(40)]
     sigmas = [sigma_star(letters) for letters in alphabets]
-    want = referee_configs(sigmas[0], False, 20000, _layout(alphabets[0], 2))
-    # a slot refers to a mask no wider than the layout's, and a kept
-    # profile adds that mask and its share of the table's dict
-    per_slot = sys.getsizeof((1 << 273) - 1) + 64
+    want = referee_configs(sigmas[0], False, 5000, _layout(alphabets[0], 2))
+    bound = 32 * _GROWN_MASKS_PER_LAYOUT
+    # a cache entry keeps two masks, its key and the grown mask, each no
+    # wider than the layout's and each with its share of the bookkeeping
+    per_mask = sys.getsizeof((1 << 273) - 1) + 64
+    kept = weakref.WeakSet()  # the layouts that _layout still keeps
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         for d, letters in zip(sigmas, alphabets):
-            for _ in range(2):
-                kernel_configs(d, False, 20000, _layout(letters, 2))
-                held, _ = tracemalloc.get_traced_memory()
-                assert oracles._kept_slots <= _STEP_TABLE_MAX_SLOTS
-                assert held - base <= _STEP_TABLE_MAX_SLOTS * per_slot
+            kept.add(_layout(letters, 2))
+            kernel_configs(d, False, 5000, _layout(letters, 2))
+            held, _ = tracemalloc.get_traced_memory()
+            assert cached_masks(kept) <= bound
+            assert held - base <= bound * 2 * per_mask
     finally:
         tracemalloc.stop()
-    assert not _layout(alphabets[0], 2).steps  # dropped on the way
+    assert len(kept) == 32 and cached_masks(kept) == bound
     for _ in range(3):
-        assert kernel_configs(sigmas[0], False, 20000, _layout(alphabets[0], 2)) == want
+        assert kernel_configs(sigmas[0], False, 5000, _layout(alphabets[0], 2)) == want
 
 
 def test_reachable_profiles_frozen_value():
@@ -482,8 +499,14 @@ def test_verify_separator_rejects_tampered_separators():
             assert all(not verify_separator(s, a, b) for s in tampered[3:])
     assert rejected > 300
     a, b = aut(AA_PLUS), aut(BB_PLUS)
+    sep = separable_by_kpt(a, b, 1)
     with pytest.raises(Inconclusive):
-        verify_separator(separable_by_kpt(a, b, 1), a, b, max_nodes=1)
+        verify_separator(sep, a, b, max_nodes=1)
+    # a side other than "A" or "B" and a negative k name no separator; read
+    # as side "B", the first would verify on the swapped pair
+    assert verify_separator(KptSeparator(1, sep.accepted_profiles, "B"), b, a)
+    assert not verify_separator(KptSeparator(1, sep.accepted_profiles, "X"), b, a)
+    assert not verify_separator(KptSeparator(-1, sep.accepted_profiles, "A"), a, b)
 
 
 # ---------------------------------------------------------------------- towers
