@@ -222,6 +222,12 @@ class Nfa:
         PT test, the oracles and :func:`equivalent` all read this one."""
         return minimize(subset_construction(self))
 
+    @cached_property
+    def _trimmed(self) -> "Nfa":
+        """The trimmed automaton, built on first use; the block product reads
+        this one, so both operand orders of a pair trim each side once."""
+        return trim(self)
+
     def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:
         out: set[str] = set()
         index = self._out

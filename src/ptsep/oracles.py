@@ -48,9 +48,13 @@ class KProfile:
 _MASK_MAX_BITS = 1 << 12
 
 # the grown masks that one bitmask layout may cache, split evenly across its
-# letters (none past this many letters); _layout keeps at most 32 layouts, so
-# all caches together hold at most 32 times this many masks
+# letters; _layout keeps at most 32 layouts, so all caches together hold at
+# most 32 times this many masks
 _GROWN_MASKS_PER_LAYOUT = 1 << 11
+
+# the least per-letter share worth a cache: below it (more than 32 letters)
+# the cache evicts before it hits, and a miss costs more than the shift
+_GROWN_MASKS_PER_LETTER_MIN = 1 << 6
 
 
 # pt_bounded asks for the same few layouts for every DFA it checks
@@ -102,7 +106,8 @@ class _Layout:
 class _Bitmasks(_Layout):
     """Piece sets as bitmasks, in the layout that :func:`_profile_configs`
     states. Each letter's grow function is an lru_cache of at most
-    _GROWN_MASKS_PER_LAYOUT // s grown masks for s letters."""
+    _GROWN_MASKS_PER_LAYOUT // s grown masks for s letters, or the plain
+    shift when that share is below _GROWN_MASKS_PER_LETTER_MIN."""
 
     def __init__(self, letters: tuple[str, ...], k: int):
         steps: dict[str, list[tuple[int, int]]] = {sym: [] for sym in letters}
@@ -112,8 +117,11 @@ class _Bitmasks(_Layout):
             for c, sym in enumerate(letters):
                 steps[sym].append((level, width * (1 + c)))
             offset, width = offset + width, width * len(letters)
-        cached = lru_cache(maxsize=_GROWN_MASKS_PER_LAYOUT // max(len(letters), 1))
-        super().__init__(letters, k, 1, {sym: cached(_shifter(steps[sym])) for sym in letters})
+        grow = {sym: _shifter(steps[sym]) for sym in letters}
+        share = _GROWN_MASKS_PER_LAYOUT // max(len(letters), 1)
+        if share >= _GROWN_MASKS_PER_LETTER_MIN:
+            grow = {sym: lru_cache(maxsize=share)(g) for sym, g in grow.items()}
+        super().__init__(letters, k, 1, grow)
         self.pieces: dict[int, Word] = {}  # bit -> piece, for the bits decoded so far
         self.bits: dict[Word, int] = {}  # piece -> its bit as a mask, for the pieces encoded
 

@@ -28,7 +28,6 @@ from .automata import (
     restricted_reach,
     scc_decomposition,
     shortest_run,
-    trim,
 )
 from .oracles import (
     DEFAULT_MAX_NODES,
@@ -144,23 +143,40 @@ def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozens
         gamma = refined
 
 
+def _letter_maps(a: Nfa) -> dict[frozenset[str], dict[str, frozenset[str]]]:
+    """The automaton's own gamma -> :func:`_scc_letter_map` dict, empty until
+    :func:`_anchor_gammas` fills it. It is kept on the instance, as
+    ``Nfa._minimal`` is, so it dies with the automaton."""
+    return a.__dict__.setdefault("_letter_maps", {})
+
+
 def _anchor_gammas(a: Nfa, b: Nfa) -> tuple[PumpAnchor, ...]:
     """Every pair (r_a, r_b) with a nonempty maximal common cycle alphabet,
-    as a pump anchor with that alphabet, in sorted (r_a, r_b) order.
+    as a pump anchor with that alphabet, in sorted (r_a, r_b) order. ``a``
+    and ``b`` are trimmed automata, over their own alphabets.
 
     This is the fixpoint of :func:`maximal_common_cycle_alphabet` run on groups
     of roots at once: at the current gamma, roots are grouped by the letters
     of their gamma-restricted component, and each pair of groups takes one
     step together. A step that keeps gamma fixes it for every pair of the two
     groups, an empty one drops them, and any other step goes on with the two
-    groups alone at the refined gamma."""
-    cache_a: dict[frozenset[str], dict[str, frozenset[str]]] = {}
-    cache_b: dict[frozenset[str], dict[str, frozenset[str]]] = {}
+    groups alone at the refined gamma.
 
-    def groups(aut: Nfa, gamma, cache, roots) -> dict[frozenset[str], list[str]]:
-        if gamma not in cache:
-            cache[gamma] = _scc_letter_map(aut, gamma)
-        letters = cache[gamma]
+    It starts from the common alphabet, not the union: a letter outside
+    either alphabet lies on no cycle of that side, so the greatest fixpoint
+    is the same, and every gamma is a subset of both alphabets. So each
+    side's letter map at gamma is read from, or added to, that automaton's
+    :func:`_letter_maps`, and the swapped pair reads the same maps. A side
+    with no state gives no anchor and costs no pass over the other side."""
+    common = a.alphabet & b.alphabet
+    if not (common and a.states and b.states):
+        return ()
+
+    def groups(aut: Nfa, gamma, roots) -> dict[frozenset[str], list[str]]:
+        maps = _letter_maps(aut)
+        if gamma not in maps:
+            maps[gamma] = _scc_letter_map(aut, gamma)
+        letters = maps[gamma]
         out: dict[frozenset[str], list[str]] = {}
         for r in roots:
             if letters[r]:
@@ -168,11 +184,11 @@ def _anchor_gammas(a: Nfa, b: Nfa) -> tuple[PumpAnchor, ...]:
         return out
 
     found: list[PumpAnchor] = []
-    work = [(frozenset(a.alphabet), a.states, b.states)]
+    work = [(common, a.states, b.states)]
     while work:
         gamma, roots_a, roots_b = work.pop()
-        groups_b = groups(b, gamma, cache_b, roots_b)
-        for la, group_a in groups(a, gamma, cache_a, roots_a).items():
+        groups_b = groups(b, gamma, roots_b)
+        for la, group_a in groups(a, gamma, roots_a).items():
             for lb, group_b in groups_b.items():
                 refined = la & lb
                 if refined == gamma:
@@ -183,12 +199,18 @@ def _anchor_gammas(a: Nfa, b: Nfa) -> tuple[PumpAnchor, ...]:
 
 
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
-    """Trim both automata, lift them to the union alphabet, find the pump
-    anchors and the reach maps of each anchor alphabet. Trimming ignores
-    letters without moves, so this equals trimming the lifted pair, and a
+    """Find the pump anchors of the two trimmed automata, lift both to the
+    union alphabet, and build the reach maps of each anchor alphabet.
+
+    Each operand trims once, through its cached ``_trimmed``, and the
+    anchor fixpoint reads and fills the letter maps kept on that trimmed
+    automaton, so deciding the swapped pair on the same operands trims
+    nothing and runs no SCC pass. Trimming ignores letters without moves, so
+    lifting the trimmed automaton equals trimming the lifted one, and a
     DFA's sink is dropped before the lift would write out its moves."""
-    a, b = lift_pair(trim(a), trim(b))
-    anchors = _anchor_gammas(a, b)
+    trimmed_a, trimmed_b = a._trimmed, b._trimmed
+    anchors = _anchor_gammas(trimmed_a, trimmed_b)
+    a, b = lift_pair(trimmed_a, trimmed_b)
     gammas = dict.fromkeys(anchor.gamma for anchor in anchors)
     reach = {gamma: (restricted_reach(a, gamma), restricted_reach(b, gamma)) for gamma in gammas}
     return BlockProduct(a=a, b=b, anchors=anchors, reach=reach)

@@ -675,6 +675,25 @@ def test_trim_hands_over_the_index_built_from_scratch():
         assert type(x) is Nfa and x == ref and x._out == ref._out
 
 
+def test_lifting_the_trim_equals_trimming_the_lift():
+    # the block product lifts each operand's cached trim, so it must equal
+    # the trim of the lifted operand, field by field and in the index
+    rng = random.Random(16)
+    automata = [random_nfa(rng, max_states=6) for _ in range(3000)]
+    automata += _random_dfas(17, 600)
+    sinks = 0
+    for a in automata:
+        sinks += a._sink is not None
+        for sigma in (a.alphabet, a.alphabet | {"d"}, frozenset("abcde")):
+            x, y = lift_alphabet(trim(a), sigma), trim(lift_alphabet(a, sigma))
+            assert type(x) is type(y) is Nfa
+            assert (x.states, x.alphabet, x.initial, x.final, x._sink) == (
+                y.states, y.alphabet, y.initial, y.final, y._sink
+            )
+            assert x._out == y._out
+    assert sinks > 300
+
+
 def test_language_empty_matches_brute_force():
     rng = random.Random(13)
     for _ in range(100):

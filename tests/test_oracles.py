@@ -376,6 +376,22 @@ def test_grown_mask_caches_stay_within_their_bound():
         assert kernel_configs(sigmas[0], False, 5000, _layout(alphabets[0], 2)) == want
 
 
+def test_layouts_over_many_letters_grow_without_a_cache():
+    # past 32 letters a letter's share of the layout's cache is below 64
+    # masks, too few to hit before it evicts, so the grow is the plain shift
+    letters = tuple(f"x{i:02d}" for i in range(40))
+    few, many = _Bitmasks(letters[:32], 2), _Bitmasks(letters[:33], 2)
+    assert {grow.cache_info().maxsize for grow in few.grow.values()} == {64}
+    assert not any(hasattr(grow, "cache_info") for grow in many.grow.values())
+    for k, max_nodes in ((1, 5000), (2, 300)):
+        layout = _layout(letters, k)
+        assert isinstance(layout, _Bitmasks)
+        d = sigma_star(letters)
+        assert kernel_configs(d, False, max_nodes, layout) == referee_configs(
+            d, False, max_nodes, layout
+        )
+
+
 def test_reachable_profiles_frozen_value():
     assert reachable_profiles(aut(AA_PLUS), 1) == frozenset(
         {KProfile(1, frozenset({(), ("a",)}))}

@@ -1,15 +1,19 @@
+import copy
 import random
 from collections import deque
 
 import pytest
 
 from conftest import aut, brute_language, check_tower, random_nfa
+from ptsep import automata, separability
 from ptsep.automata import (
     AlphabetMismatchError,
     AutomatonError,
     Nfa,
+    lift_alphabet,
     restricted_reach,
     scc_decomposition,
+    trim,
 )
 from ptsep.mcvp import instance_pair, random_circuit
 from ptsep.oracles import dual_deepening, verify_separator, verify_tower
@@ -17,6 +21,8 @@ from ptsep.separability import (
     BlockSegment,
     PatternWitness,
     PumpAnchor,
+    _letter_maps,
+    _scc_letter_map,
     _search_block_product,
     build_block_product,
     decide_separability,
@@ -247,6 +253,89 @@ def test_grouped_anchor_fixpoint_matches_the_per_pair_referee():
         assert got == referee_anchors(bp.a, bp.b)
         anchored += bool(got)
     assert anchored > 200
+
+
+def test_cached_letter_maps_equal_a_fresh_pass():
+    # every map the fixpoint keeps on an operand's trim is the one a fresh
+    # Tarjan pass gives on the trimmed, lifted operand
+    rng = random.Random(777)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    pairs += [(b, a) for a, b in pairs]
+    pairs += [instance_pair(random_circuit(n, seed)) for n in (2, 5, 13, 20, 40) for seed in (0, 1)]
+    checked = 0
+    for a, b in pairs:
+        build_block_product(a, b)
+        sigma = a.alphabet | b.alphabet
+        for side in (a, b):
+            fresh = trim(lift_alphabet(side, sigma))
+            for gamma, letters in _letter_maps(side._trimmed).items():
+                assert gamma <= a.alphabet & b.alphabet
+                assert letters == _scc_letter_map(fresh, gamma)
+                checked += 1
+    assert checked > 500
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_swapped_call_trims_nothing_and_runs_no_scc_pass(monkeypatch):
+    trims = count_calls(monkeypatch, automata, "trim")
+    passes = count_calls(monkeypatch, separability, "_scc_letter_map")
+    rng = random.Random(778)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(100)]
+    pairs += [(aut(AB_CYCLE), aut(BA_CYCLE)), instance_pair(random_circuit(20, 0))]
+    first_passes = 0
+    for a, b in pairs:
+        trims.clear()
+        passes.clear()
+        first = decide_separability(a, b)
+        assert len(trims) == 2
+        first_passes += len(passes)
+        trims.clear()
+        passes.clear()
+        assert decide_separability(b, a).separable == first.separable
+        assert trims == [] and passes == []
+    assert first_passes > 60
+
+
+def test_empty_operand_costs_no_scc_pass_on_the_other_side(monkeypatch):
+    passes = count_calls(monkeypatch, separability, "_scc_letter_map")
+    empty = aut("kind: nfa\nstates: x y\nalphabet: a b\ninitial: x\nfinal: y\ntrans: x a x\n")
+    for other in (aut(AB_CYCLE), aut(BA_CYCLE), aut(RAW_AB)):
+        for a, b in ((empty, other), (other, empty)):
+            bp = build_block_product(a, b)
+            assert bp.anchors == () and bp.reach == {}
+            assert decide_separability(a, b).separable
+    assert passes == []
+
+
+def test_building_the_product_again_gives_an_equal_product():
+    # the second build reads the maps the first one kept, and must not
+    # have changed them
+    rng = random.Random(779)
+    pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(200)]
+    pairs += [instance_pair(random_circuit(n, 1)) for n in (5, 20)]
+    for a, b in pairs:
+        first = build_block_product(a, b)
+        kept = [copy.deepcopy(_letter_maps(x._trimmed)) for x in (a, b)]
+        again = build_block_product(a, b)
+        assert again == first and again.reach == first.reach
+        assert [_letter_maps(x._trimmed) for x in (a, b)] == kept
+        assert build_block_product(b, a).anchors == tuple(
+            sorted(
+                (PumpAnchor(x.r_b, x.r_a, x.gamma) for x in first.anchors),
+                key=lambda x: (x.r_a, x.r_b),
+            )
+        )
 
 
 def referee_search(bp, anchors):
