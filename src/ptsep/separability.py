@@ -3,9 +3,9 @@
 The decision works on a "block product" of the two (trimmed) automata: nodes
 are state pairs, letter edges move both sides on a shared letter, and block
 edges jump through a pump anchor, a pair of states that both carry a cycle
-over exactly the same letter set gamma. A block edge reads only the
-gamma-restricted reach maps of the two sides, so the product stores its
-anchors and one pair of reach maps per anchor alphabet, and no edge sets.
+over exactly the same letter set gamma, one anchor per block of such pairs.
+A block edge reads only the gamma-restricted reach maps of the two sides, so
+the product stores its anchors and their reach maps, and no edge sets.
 Non-separability holds exactly when some initial pair reaches an accepting
 pair; the path is returned as a pattern witness whose pumped expansions
 yield towers of every height, which is the machine-checkable evidence that
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 
 from .automata import (
     AlphabetMismatchError,
@@ -25,7 +26,6 @@ from .automata import (
     Word,
     closed_run_covering_word,
     lift_pair,
-    restricted_reach,
     scc_decomposition,
     shortest_run,
 )
@@ -101,23 +101,17 @@ class SepVerdict:
 
 @dataclass(frozen=True)
 class BlockProduct:
-    """Two trimmed automata over a shared alphabet, their pump anchors in
-    sorted (r_a, r_b) order, and both sides' reach maps per anchor alphabet.
-    (p, q) enters anchor (r_a, r_b, gamma) when r_a is in reach[gamma][0][p]
-    and r_b in reach[gamma][1][q]; it exits to reach[gamma][0][r_a] x
-    reach[gamma][1][r_b]. Letter edges are not stored: the search joins both
-    sides' out-edges on shared letters as it reaches each pair."""
+    """Two trimmed automata over a shared alphabet, the anchor (min C_a, min C_b)
+    of each block (C_a, C_b) of gamma-components in sorted order, and both sides'
+    reach maps per anchor alphabet. (p, q) enters anchor (r_a, r_b, gamma) when
+    r_a is in reach[gamma][0][p] and r_b in reach[gamma][1][q], and exits to
+    reach[gamma][0][r_a] x reach[gamma][1][r_b]; letter edges are not stored."""
 
     a: Nfa
     b: Nfa
     anchors: tuple[PumpAnchor, ...]
     # gamma -> (restricted_reach(a, gamma), restricted_reach(b, gamma)), not compared
     reach: dict[frozenset[str], tuple[dict, dict]] = field(compare=False)
-
-
-def _scc_letter_map(a: Nfa, gamma: frozenset[str]) -> dict[str, frozenset[str]]:
-    """Each state's component letters in the gamma-restricted graph."""
-    return {q: comp.letters for comp in scc_decomposition(a, gamma) for q in comp.states}
 
 
 def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozenset[str]:
@@ -135,84 +129,107 @@ def maximal_common_cycle_alphabet(a: Nfa, b: Nfa, r_a: str, r_b: str) -> frozens
         raise AutomatonError(f"unknown state {r_a!r} in the first automaton")
     if r_b not in b.states:
         raise AutomatonError(f"unknown state {r_b!r} in the second automaton")
+
+    def letters(aut: Nfa, r: str, gamma: frozenset[str]) -> frozenset[str]:
+        return next(comp.letters for comp in scc_decomposition(aut, gamma) if r in comp.states)
+
     gamma = frozenset(a.alphabet)
     while True:
-        refined = _scc_letter_map(a, gamma)[r_a] & _scc_letter_map(b, gamma)[r_b]
+        refined = letters(a, r_a, gamma) & letters(b, r_b, gamma)
         if refined == gamma or not refined:
             return refined
         gamma = refined
 
 
-def _letter_maps(a: Nfa) -> dict[frozenset[str], dict[str, frozenset[str]]]:
-    """The automaton's own gamma -> :func:`_scc_letter_map` dict, empty until
-    :func:`_anchor_gammas` fills it. It is kept on the instance, as
-    ``Nfa._minimal`` is, so it dies with the automaton."""
-    return a.__dict__.setdefault("_letter_maps", {})
+class _GammaView:
+    """A trimmed automaton's gamma-restricted graph: one SCC pass, each state's
+    component and, on first read, the reach map; :func:`_view` keeps one per gamma."""
+
+    def __init__(self, aut: Nfa, gamma: frozenset[str]):
+        self.rows, self.gamma = aut._out, gamma  # not aut, which holds the view: no cycle
+        self.components = scc_decomposition(aut, gamma)
+        self.component = {q: comp for comp in self.components for q in comp.states}
+
+    @cached_property
+    def reach(self) -> dict[str, frozenset[str]]:
+        """:func:`restricted_reach`: one set per component, in reverse topological order."""
+        rows, gamma, reach = self.rows, self.gamma, {}
+        for comp in reversed(self.components):
+            out = {t for q in comp.states for s, ts in rows[q].items() if s in gamma for t in ts}
+            shared = comp.states.union(*(reach[t] for t in out - comp.states))
+            reach.update(dict.fromkeys(comp.states, shared))
+        return reach
+
+    def heads(self, roots: list[str]) -> list[str]:
+        """The least state of each component that holds one of ``roots``."""
+        return [min(comp.states) for comp in dict.fromkeys(self.component[r] for r in roots)]
+
+
+def _view(aut: Nfa, gamma: frozenset[str]) -> _GammaView:
+    views = aut.__dict__.setdefault("_views", {})
+    return views[gamma] if gamma in views else views.setdefault(gamma, _GammaView(aut, gamma))
 
 
 def _anchor_gammas(a: Nfa, b: Nfa) -> tuple[PumpAnchor, ...]:
-    """Every pair (r_a, r_b) with a nonempty maximal common cycle alphabet,
-    as a pump anchor with that alphabet, in sorted (r_a, r_b) order. ``a``
-    and ``b`` are trimmed automata, over their own alphabets.
+    """One pump anchor per block, in sorted (r_a, r_b) order, for trimmed
+    automata ``a`` and ``b`` over their own alphabets.
 
     This is the fixpoint of :func:`maximal_common_cycle_alphabet` run on groups
     of roots at once: at the current gamma, roots are grouped by the letters
     of their gamma-restricted component, and each pair of groups takes one
     step together. A step that keeps gamma fixes it for every pair of the two
     groups, an empty one drops them, and any other step goes on with the two
-    groups alone at the refined gamma.
+    groups alone at the refined gamma. Components stay whole in their groups,
+    so a fixed pair splits into blocks (C_a, C_b), anchored at (min C_a, min C_b).
 
     It starts from the common alphabet, not the union: a letter outside
     either alphabet lies on no cycle of that side, so the greatest fixpoint
-    is the same, and every gamma is a subset of both alphabets. So each
-    side's letter map at gamma is read from, or added to, that automaton's
-    :func:`_letter_maps`, and the swapped pair reads the same maps. A side
-    with no state gives no anchor and costs no pass over the other side."""
+    is the same, and every gamma is a subset of both alphabets. So each side
+    reads its own views, as the swapped pair does. A side with no state gives
+    no anchor and costs no pass over the other side."""
     common = a.alphabet & b.alphabet
     if not (common and a.states and b.states):
         return ()
 
-    def groups(aut: Nfa, gamma, roots) -> dict[frozenset[str], list[str]]:
-        maps = _letter_maps(aut)
-        if gamma not in maps:
-            maps[gamma] = _scc_letter_map(aut, gamma)
-        letters = maps[gamma]
+    def groups(view: _GammaView, roots) -> dict[frozenset[str], list[str]]:
         out: dict[frozenset[str], list[str]] = {}
         for r in roots:
-            if letters[r]:
-                out.setdefault(letters[r], []).append(r)
+            letters = view.component[r].letters
+            if letters:
+                out.setdefault(letters, []).append(r)
         return out
 
     found: list[PumpAnchor] = []
     work = [(common, a.states, b.states)]
     while work:
         gamma, roots_a, roots_b = work.pop()
-        groups_b = groups(b, gamma, roots_b)
-        for la, group_a in groups(a, gamma, roots_a).items():
+        view_a, view_b = _view(a, gamma), _view(b, gamma)
+        groups_b = groups(view_b, roots_b)
+        for la, group_a in groups(view_a, roots_a).items():
             for lb, group_b in groups_b.items():
                 refined = la & lb
                 if refined == gamma:
-                    found.extend(PumpAnchor(r_a, r_b, gamma) for r_a in group_a for r_b in group_b)
+                    heads_a, heads_b = view_a.heads(group_a), view_b.heads(group_b)
+                    found.extend(PumpAnchor(r_a, r_b, gamma) for r_a in heads_a for r_b in heads_b)
                 elif refined:
                     work.append((refined, group_a, group_b))
     return tuple(sorted(found, key=lambda anchor: (anchor.r_a, anchor.r_b)))
 
 
 def build_block_product(a: Nfa, b: Nfa) -> BlockProduct:
-    """Find the pump anchors of the two trimmed automata, lift both to the
-    union alphabet, and build the reach maps of each anchor alphabet.
+    """Find the block anchors of the two trimmed automata, read the reach
+    maps of each anchor alphabet, and lift both to the union alphabet.
 
-    Each operand trims once, through its cached ``_trimmed``, and the
-    anchor fixpoint reads and fills the letter maps kept on that trimmed
-    automaton, so deciding the swapped pair on the same operands trims
-    nothing and runs no SCC pass. Trimming ignores letters without moves, so
-    lifting the trimmed automaton equals trimming the lifted one, and a
-    DFA's sink is dropped before the lift would write out its moves."""
+    Each operand trims once, through its cached ``_trimmed``, whose views
+    the fixpoint and the reach maps read, so the swapped pair trims nothing
+    and runs no graph pass. Lifting adds only letters without moves, so it
+    keeps reach and equals trimming the lifted operand; a DFA's sink is
+    dropped before the lift writes its moves."""
     trimmed_a, trimmed_b = a._trimmed, b._trimmed
     anchors = _anchor_gammas(trimmed_a, trimmed_b)
-    a, b = lift_pair(trimmed_a, trimmed_b)
     gammas = dict.fromkeys(anchor.gamma for anchor in anchors)
-    reach = {gamma: (restricted_reach(a, gamma), restricted_reach(b, gamma)) for gamma in gammas}
+    reach = {g: (_view(trimmed_a, g).reach, _view(trimmed_b, g).reach) for g in gammas}
+    a, b = lift_pair(trimmed_a, trimmed_b)
     return BlockProduct(a=a, b=b, anchors=anchors, reach=reach)
 
 
@@ -223,10 +240,9 @@ def _search_block_product(bp: BlockProduct):
     (p, q) enters fire, in index order; each fires at most once, since its
     targets do not depend on the source. The unfired anchors are indexed as
     gamma -> r_a -> r_b -> index, so (p, q) looks up only the roots in
-    reach[gamma][0][p] x reach[gamma][1][q]. An anchor whose exit product an
-    earlier anchor already pushed is skipped: every pair of that product is
-    already in ``parents``, so it would push nothing. Returns (goal_node,
-    parents) or None; deterministic via sorted exploration."""
+    reach[gamma][0][p] x reach[gamma][1][q]. Each anchor fires for its
+    whole block. Returns (goal_node, parents) or None; deterministic via
+    sorted exploration."""
     out_a = bp.a._out
     out_b = bp.b._out
 
@@ -237,16 +253,14 @@ def _search_block_product(bp: BlockProduct):
     parents: dict[tuple[str, str], tuple | None] = {}
     queue: deque[tuple[str, str]] = deque()
     for node in starts:
-        if node not in parents:
-            parents[node] = None
-            if accepting(node):
-                return node, parents
-            queue.append(node)
+        parents[node] = None
+        if accepting(node):
+            return node, parents
+        queue.append(node)
 
     unfired: dict[frozenset[str], dict[str, dict[str, int]]] = {}
     for idx, anchor in enumerate(bp.anchors):
         unfired.setdefault(anchor.gamma, {}).setdefault(anchor.r_a, {})[anchor.r_b] = idx
-    pushed: set[tuple[frozenset[str], frozenset[str]]] = set()
     while queue:
         node = queue.popleft()
         p, q = node
@@ -273,12 +287,8 @@ def _search_block_product(bp: BlockProduct):
         for idx in sorted(fire):
             anchor = bp.anchors[idx]
             reach_a, reach_b = bp.reach[anchor.gamma]
-            exits = (reach_a[anchor.r_a], reach_b[anchor.r_b])
-            if exits in pushed:
-                continue
-            pushed.add(exits)
-            for p2 in sorted(exits[0]):
-                for q2 in sorted(exits[1]):
+            for p2 in sorted(reach_a[anchor.r_a]):
+                for q2 in sorted(reach_b[anchor.r_b]):
                     child = (p2, q2)
                     if child in parents:
                         continue

@@ -109,7 +109,7 @@ TRUE_CIRCUIT = "1 = 1\n"
 MIXED_CIRCUIT = "1 = 1\n2 = 0\n3 = OR 1 2\n4 = AND 3 1\n5 = OR 4 2\n6 = AND 5 3\n"
 
 # a true circuit of the benchmark ladder's smallest size, whose instance has
-# 60 anchors
+# one block of 60 state pairs
 LADDER_CIRCUIT = "".join(
     f"{i} = {g.value}\n" if g.kind == "const" else f"{i} = {g.kind.upper()} {g.left} {g.right}\n"
     for i, g in enumerate(random_circuit(40, 6).gates, start=1)

@@ -1,5 +1,7 @@
 import copy
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -15,14 +17,12 @@ from ptsep.automata import (
     scc_decomposition,
     trim,
 )
-from ptsep.mcvp import instance_pair, random_circuit
+from ptsep.mcvp import certificate_cycle_alphabet, evaluate, instance_pair, random_circuit
 from ptsep.oracles import dual_deepening, verify_separator, verify_tower
 from ptsep.separability import (
     BlockSegment,
     PatternWitness,
     PumpAnchor,
-    _letter_maps,
-    _scc_letter_map,
     _search_block_product,
     build_block_product,
     decide_separability,
@@ -200,45 +200,109 @@ def test_block_product_structure_for_cycle_pair():
     # the dead sink is trimmed away on both sides
     assert bp.a.states == {"s0", "s1", "s2"}
     assert bp.b.states == {"t0", "t1", "t2"}
-    seen = {(x.r_a, x.r_b) for x in bp.anchors}
-    assert seen == {("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2")}
-    # one anchor per pair, in sorted (r_a, r_b) order
-    assert [(x.r_a, x.r_b) for x in bp.anchors] == sorted(seen)
+    # one block, {s1, s2} x {t1, t2} over {a, b}, anchored at its least states
+    assert bp.anchors == (PumpAnchor("s1", "t1", frozenset({"a", "b"})),)
     # one pair of reach maps per anchor alphabet
     assert list(bp.reach) == [frozenset({"a", "b"})]
-    for (_, _, gamma), enter_a, enter_b, exit_a, exit_b in block_edges(bp):
-        assert gamma == frozenset({"a", "b"})
-        assert enter_a == frozenset({"s0", "s1", "s2"})
-        assert exit_a == frozenset({"s1", "s2"})
-        assert enter_b == frozenset({"t0", "t1", "t2"})
-        assert exit_b == frozenset({"t1", "t2"})
-    assert block_edges(bp) == referee_anchors(bp.a, bp.b)
+    [(_, enter_a, enter_b, exit_a, exit_b)] = block_edges(bp)
+    assert enter_a == frozenset({"s0", "s1", "s2"})
+    assert exit_a == frozenset({"s1", "s2"})
+    assert enter_b == frozenset({"t0", "t1", "t2"})
+    assert exit_b == frozenset({"t1", "t2"})
+    referee = referee_anchors(bp.a, bp.b)
+    assert [key[:2] for key, *_ in referee] == [
+        ("s1", "t1"),
+        ("s1", "t2"),
+        ("s2", "t1"),
+        ("s2", "t2"),
+    ]
+    assert_blocks_hold_the_referee(bp, referee)
+
+
+def referee_edges(a, b, triples):
+    """The (r_a, r_b, gamma) triples as anchors with their enter and exit
+    sets, read from :func:`restricted_reach` on ``a`` and ``b``."""
+    reach, sides = {}, {}
+
+    def side(aut_, r, gamma):
+        if (id(aut_), gamma) not in reach:
+            reach[id(aut_), gamma] = restricted_reach(aut_, gamma)
+        if (id(aut_), gamma, r) not in sides:
+            into = reach[id(aut_), gamma]
+            enter = frozenset(p for p in aut_.states if r in into[p])
+            sides[id(aut_), gamma, r] = enter, into[r]
+        return sides[id(aut_), gamma, r]
+
+    out = []
+    for r_a, r_b, gamma in triples:
+        (enter_a, exit_a), (enter_b, exit_b) = side(a, r_a, gamma), side(b, r_b, gamma)
+        out.append(((r_a, r_b, gamma), enter_a, enter_b, exit_a, exit_b))
+    return out
 
 
 def referee_anchors(a, b):
     """The anchors of two trimmed automata, one maximal_common_cycle_alphabet
-    call per pair of states on some cycle, in (r_a, r_b) order."""
+    call per pair of states on some cycle, in (r_a, r_b) order, in the shape
+    of :func:`block_edges`."""
 
     def cyclic(aut):
         full = scc_decomposition(aut, aut.alphabet)
         return sorted(q for comp in full if comp.letters for q in comp.states)
 
-    out = []
+    triples = []
     for r_a in cyclic(a):
         for r_b in cyclic(b):
             gamma = maximal_common_cycle_alphabet(a, b, r_a, r_b)
             if gamma:
-                reach_a, reach_b = restricted_reach(a, gamma), restricted_reach(b, gamma)
-                out.append(
-                    (
-                        (r_a, r_b, gamma),
-                        frozenset(p for p in a.states if r_a in reach_a[p]),
-                        frozenset(q for q in b.states if r_b in reach_b[q]),
-                        reach_a[r_a],
-                        reach_b[r_b],
-                    )
-                )
-    return out
+                triples.append((r_a, r_b, gamma))
+    return referee_edges(a, b, triples)
+
+
+class FreshComponents:
+    """Each state's gamma-component, from a fresh SCC pass per automaton and
+    gamma: (its states, its least state)."""
+
+    def __init__(self):
+        self.passes = {}
+
+    def __call__(self, aut_, gamma, q):
+        if (id(aut_), gamma) not in self.passes:
+            self.passes[id(aut_), gamma] = {
+                p: (comp.states, min(comp.states))
+                for comp in scc_decomposition(aut_, gamma)
+                for p in comp.states
+            }
+        return self.passes[id(aut_), gamma][q]
+
+
+def assert_blocks_hold_the_referee(bp, referee):
+    """Each per-pair referee anchor lies in exactly one block, a block
+    holding (r_a, r_b) when r_a and r_b lie in the components of its roots
+    under its gamma. That block has the referee's gamma and its enter and
+    exit sets, and its roots are the least states of the referee roots'
+    gamma-components. Every block holds some referee anchor."""
+    component = FreshComponents()
+    blocks = {}
+    for (r_a, r_b, gamma), *sets in block_edges(bp):
+        key = (gamma, component(bp.a, gamma, r_a)[0], component(bp.b, gamma, r_b)[0])
+        blocks.setdefault(key, []).append(((r_a, r_b, gamma), sets))
+    gammas = {gamma for gamma, _, _ in blocks}
+    held = set()
+    for (r_a, r_b, gamma), *sets in referee:
+        holding = [
+            block
+            for g in gammas
+            for block in blocks.get(
+                (g, component(bp.a, g, r_a)[0], component(bp.b, g, r_b)[0]), []
+            )
+        ]
+        assert len(holding) == 1, (r_a, r_b, gamma)
+        [(key, block_sets)] = holding
+        least = (component(bp.a, gamma, r_a)[1], component(bp.b, gamma, r_b)[1])
+        assert key == (*least, gamma)
+        assert block_sets == sets
+        held.add(key)
+    assert held == {(x.r_a, x.r_b, x.gamma) for x in bp.anchors}
 
 
 def test_grouped_anchor_fixpoint_matches_the_per_pair_referee():
@@ -249,30 +313,68 @@ def test_grouped_anchor_fixpoint_matches_the_per_pair_referee():
     anchored = 0
     for a, b in pairs:
         bp = build_block_product(a, b)
-        got = block_edges(bp)
-        assert got == referee_anchors(bp.a, bp.b)
-        anchored += bool(got)
+        referee = referee_anchors(bp.a, bp.b)
+        assert_blocks_hold_the_referee(bp, referee)
+        anchored += bool(referee)
     assert anchored > 200
 
 
-def test_cached_letter_maps_equal_a_fresh_pass():
-    # every map the fixpoint keeps on an operand's trim is the one a fresh
-    # Tarjan pass gives on the trimmed, lifted operand
+def test_true_mcvp_instances_have_one_block_over_the_certificate_alphabet():
+    true = 0
+    for n in (2, 3, 5, 13, 20, 40, 80, 160, 320):
+        for seed in range(12):
+            c = random_circuit(n, seed)
+            if evaluate(c):
+                true += 1
+                bp = build_block_product(*instance_pair(c))
+                assert [x.gamma for x in bp.anchors] == [certificate_cycle_alphabet(c)], (n, seed)
+    assert true == 60
+
+
+def views(x):
+    """The views kept on an operand's trim, by gamma."""
+    return x._trimmed.__dict__.get("_views", {})
+
+
+def test_cached_views_equal_a_fresh_pass():
+    # every view the fixpoint keeps on an operand's trim has the components
+    # of a fresh Tarjan pass on the trimmed, lifted operand, and every reach
+    # map it built is restricted_reach on that operand
     rng = random.Random(777)
     pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
     pairs += [(b, a) for a, b in pairs]
     pairs += [instance_pair(random_circuit(n, seed)) for n in (2, 5, 13, 20, 40) for seed in (0, 1)]
-    checked = 0
+    checked = reached = 0
     for a, b in pairs:
-        build_block_product(a, b)
+        anchors = build_block_product(a, b).anchors
         sigma = a.alphabet | b.alphabet
         for side in (a, b):
             fresh = trim(lift_alphabet(side, sigma))
-            for gamma, letters in _letter_maps(side._trimmed).items():
+            for gamma, view in views(side).items():
                 assert gamma <= a.alphabet & b.alphabet
-                assert letters == _scc_letter_map(fresh, gamma)
+                assert view.components == scc_decomposition(fresh, gamma)
                 checked += 1
-    assert checked > 500
+                if "reach" in view.__dict__:
+                    assert view.reach == restricted_reach(fresh, gamma)
+                    reached += 1
+            # reach is built for the anchor alphabets and no other
+            assert reach_computed(side) == {x.gamma for x in anchors}
+    assert checked > 500 and reached > 200
+
+
+def test_kept_views_leave_the_operands_to_reference_counting():
+    # a view holds its automaton's index, not the automaton: with the
+    # collector off, dropping the operands frees them and their trims
+    a, b = instance_pair(random_circuit(40, 6))
+    decide_separability(a, b)
+    assert views(a) and views(b)
+    refs = [weakref.ref(x) for x in (a, b, a._trimmed, b._trimmed)]
+    gc.disable()
+    try:
+        del a, b
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def count_calls(monkeypatch, module, name):
@@ -289,7 +391,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_swapped_call_trims_nothing_and_runs_no_scc_pass(monkeypatch):
     trims = count_calls(monkeypatch, automata, "trim")
-    passes = count_calls(monkeypatch, separability, "_scc_letter_map")
+    passes = count_calls(monkeypatch, separability, "scc_decomposition")
     rng = random.Random(778)
     pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(100)]
     pairs += [(aut(AB_CYCLE), aut(BA_CYCLE)), instance_pair(random_circuit(20, 0))]
@@ -300,15 +402,23 @@ def test_swapped_call_trims_nothing_and_runs_no_scc_pass(monkeypatch):
         first = decide_separability(a, b)
         assert len(trims) == 2
         first_passes += len(passes)
+        reached = [reach_computed(x) for x in (a, b)]
         trims.clear()
         passes.clear()
         assert decide_separability(b, a).separable == first.separable
         assert trims == [] and passes == []
+        # and builds no reach map either
+        assert [reach_computed(x) for x in (a, b)] == reached
     assert first_passes > 60
 
 
+def reach_computed(x):
+    """The gammas whose view on an operand's trim has built its reach map."""
+    return {gamma for gamma, view in views(x).items() if "reach" in view.__dict__}
+
+
 def test_empty_operand_costs_no_scc_pass_on_the_other_side(monkeypatch):
-    passes = count_calls(monkeypatch, separability, "_scc_letter_map")
+    passes = count_calls(monkeypatch, separability, "scc_decomposition")
     empty = aut("kind: nfa\nstates: x y\nalphabet: a b\ninitial: x\nfinal: y\ntrans: x a x\n")
     for other in (aut(AB_CYCLE), aut(BA_CYCLE), aut(RAW_AB)):
         for a, b in ((empty, other), (other, empty)):
@@ -319,23 +429,30 @@ def test_empty_operand_costs_no_scc_pass_on_the_other_side(monkeypatch):
 
 
 def test_building_the_product_again_gives_an_equal_product():
-    # the second build reads the maps the first one kept, and must not
+    # the second build reads the views the first one kept, and must not
     # have changed them
     rng = random.Random(779)
     pairs = [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(200)]
     pairs += [instance_pair(random_circuit(n, 1)) for n in (5, 20)]
     for a, b in pairs:
         first = build_block_product(a, b)
-        kept = [copy.deepcopy(_letter_maps(x._trimmed)) for x in (a, b)]
+        kept = [copy.deepcopy(view_contents(x)) for x in (a, b)]
         again = build_block_product(a, b)
         assert again == first and again.reach == first.reach
-        assert [_letter_maps(x._trimmed) for x in (a, b)] == kept
+        assert [view_contents(x) for x in (a, b)] == kept
         assert build_block_product(b, a).anchors == tuple(
             sorted(
                 (PumpAnchor(x.r_b, x.r_a, x.gamma) for x in first.anchors),
                 key=lambda x: (x.r_a, x.r_b),
             )
         )
+
+
+def view_contents(x):
+    """Each view on an operand's trim as (components, reach map or None)."""
+    return {
+        gamma: (view.components, view.__dict__.get("reach")) for gamma, view in views(x).items()
+    }
 
 
 def referee_search(bp, anchors):
@@ -402,6 +519,26 @@ def many_anchor_nfa(n, leave):
     )
 
 
+def moves_per_letter_nfa(rng, n, letters="abcd"):
+    """An n-state NFA with 0, 1 or 2 moves per state and letter, to targets
+    drawn uniformly; q0 is initial, and each state is final with
+    probability 0.1."""
+    states = [f"q{i}" for i in range(n)]
+    trans = {
+        (q, sym, rng.choice(states))
+        for q in states
+        for sym in letters
+        for _ in range(rng.randint(0, 2))
+    }
+    return Nfa.build(
+        states=states,
+        alphabet=set(letters),
+        transitions=trans,
+        initial={states[0]},
+        final={q for q in states if rng.random() < 0.1},
+    )
+
+
 def random_moves_nfa(rng, n=300, letters="abcd", moves=900):
     """A random NFA with ``moves`` distinct transitions over n states."""
     states = [f"q{i}" for i in range(n)]
@@ -448,12 +585,24 @@ trans: u c g
 """
 
 
-def same_search(got, want):
-    """Equal verdicts, and on a goal the same goal and the same parents in
-    the same insertion order."""
+def same_search(bp, got, referee):
+    """The product's search result ``got`` against :func:`referee_search`
+    over the per-pair ``referee`` anchors: equal verdicts, and on a goal the
+    same goal and the same parents in the same insertion order, with each
+    block edge named by its anchor's (r_a, r_b, gamma), not its index."""
+    want = referee_search(bp, referee)
     if got is None or want is None:
         return got is want
-    return got[0] == want[0] and list(got[1].items()) == list(want[1].items())
+
+    def named(found, keys):
+        goal, parents = found
+        return goal, [
+            (node, ("block", keys[edge[1]], edge[2]) if edge and edge[0] == "block" else edge)
+            for node, edge in parents.items()
+        ]
+
+    own = [(x.r_a, x.r_b, x.gamma) for x in bp.anchors]
+    return named(got, own) == named(want, [key for key, *_ in referee])
 
 
 def test_search_fires_anchors_like_the_scanning_referee():
@@ -473,7 +622,7 @@ def test_search_fires_anchors_like_the_scanning_referee():
     for a, b in pairs:
         bp = build_block_product(a, b)
         got = _search_block_product(bp)
-        assert same_search(got, referee_search(bp, referee_anchors(bp.a, bp.b)))
+        assert same_search(bp, got, referee_anchors(bp.a, bp.b))
         if got is not None:
             goals += 1
             blocks += any(edge and edge[0] == "block" for edge in got[1].values())
@@ -490,17 +639,57 @@ def test_many_anchor_family():
         assert v.witness.blocks and verify_pattern(v.witness, a, b)
 
 
+def block_pairs(bp):
+    """Every (r_a, r_b, gamma) that the blocks of a product stand for: each
+    pair of states of the block's two gamma-components, from a fresh SCC
+    pass, in (r_a, r_b) order."""
+    component = FreshComponents()
+    triples = [
+        (r_a, r_b, x.gamma)
+        for x in bp.anchors
+        for r_a in component(bp.a, x.gamma, x.r_a)[0]
+        for r_b in component(bp.b, x.gamma, x.r_b)[0]
+    ]
+    return sorted(triples, key=lambda triple: triple[:2])
+
+
 def test_random_300_state_pair_matches_the_scanning_referee():
     rng = random.Random(300)
     a, b = random_moves_nfa(rng), random_moves_nfa(rng)
     bp = build_block_product(a, b)
-    assert len(bp.anchors) > 50_000
+    triples = block_pairs(bp)
+    assert len(triples) > 50_000
+    # the per-pair fixpoint on a sample of state pairs, inside and outside
+    # the blocks
+    gammas = {(r_a, r_b): gamma for r_a, r_b, gamma in triples}
+    sample = random.Random(301)
+    for _ in range(30):
+        r_a, r_b = sample.choice(sorted(bp.a.states)), sample.choice(sorted(bp.b.states))
+        want = gammas.get((r_a, r_b), frozenset())
+        assert maximal_common_cycle_alphabet(bp.a, bp.b, r_a, r_b) == want
+    referee = referee_edges(bp.a, bp.b, triples)
+    assert_blocks_hold_the_referee(bp, referee)
     got = _search_block_product(bp)
-    assert same_search(got, referee_search(bp, block_edges(bp)))
+    assert same_search(bp, got, referee)
     v = decide_separability(a, b)
     assert v.separable == (got is None)
     if not v.separable:
         assert verify_pattern(v.witness, a, b)
+
+
+def test_1000_state_pair_has_a_handful_of_anchors():
+    rng = random.Random(1000)
+    a, b = moves_per_letter_nfa(rng, 1000), moves_per_letter_nfa(rng, 1000)
+    bp = build_block_product(a, b)
+    # one anchor per pair of roots would be 950 600 anchors here
+    assert 1 <= len(bp.anchors) <= 5
+    # the reach maps hold one set per component, not one per state
+    for gamma, maps in bp.reach.items():
+        for side, reach in zip((bp.a, bp.b), maps):
+            assert reach.keys() == side.states
+            assert len({id(s) for s in reach.values()}) == len(scc_decomposition(side, gamma))
+    v = decide_separability(a, b)
+    assert not v.separable and verify_pattern(v.witness, a, b)
 
 
 # ---------------------------------------------------------- the decision
