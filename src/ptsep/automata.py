@@ -11,21 +11,22 @@ sink. The ``transitions`` table, sink moves included, is derived from the
 index on first use, so printed automata are unchanged.
 
 Automata are checked once, where they enter the library.
-``parse_automaton`` checks every name and move of the text, with line
-numbers. ``Nfa(...)``, ``Dfa(...)`` and ``Nfa.build`` check every name and
-transition they are given and keep that table; a DFA indexes it at
-construction, where the index doubles as the completeness check, and an
-NFA on first use. Every other automaton is handed its index without a
-second check: a parsed NFA, and the automata derived from checked ones
-(``trim``, ``lift_alphabet``, ``product_intersection``); ``lift_alphabet``
-checks only the letters its caller adds. A parsed DFA and the DFAs the
-library builds itself (subset construction, minimization, the MCVP
-instances) come from their rows, each row checked whole and no name
-checked again. State and symbol names are plain tokens (nonempty, no
-whitespace, no ``#``). Anything that can influence observable output (state
-naming, witness words, serialized text) is produced by iterating in sorted
-order, so results are reproducible across processes regardless of hash
-seeding.
+``parse_automaton`` splits each line of the text once and resolves each
+name of a move with one lookup in the declared names; a name that misses is
+looked at again only to report it, with its line number. ``Nfa(...)``,
+``Dfa(...)`` and ``Nfa.build`` check every name and transition they are
+given and keep that table; a DFA indexes it at construction, where the
+index doubles as the completeness check, and an NFA on first use. Every
+other automaton is handed its index without a second check: a parsed NFA,
+and the automata derived from checked ones (``trim``, ``lift_alphabet``,
+``product_intersection``); ``lift_alphabet`` checks only the letters its
+caller adds. A parsed DFA and the DFAs the library builds itself (subset
+construction, minimization, the MCVP instances) come from their rows, each
+row checked whole and no name checked again. State and symbol names are
+plain tokens (nonempty, no whitespace, no ``#``). Anything that can
+influence observable output (state naming, witness words, serialized text)
+is produced by iterating in sorted order, so results are reproducible
+across processes regardless of hash seeding.
 """
 
 from __future__ import annotations
@@ -362,22 +363,23 @@ def parse_automaton(text: str) -> Nfa:
     total transition function).
     """
     fields: dict[str, tuple[list[str], int]] = {}
+    # each trans line as its token list, 'trans:' first, and its number
     trans: list[tuple[list[str], int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         key = tokens[0]
+        if key == "trans:":
+            if len(tokens) != 4:
+                raise ParseError("trans line needs '<src> <symbol> <dst>'", ln)
+            trans.append((tokens, ln))
+            continue
         if not key.endswith(":"):
             raise ParseError(f"expected '<key>:' at start of line, got {key!r}", ln)
         key = key[:-1]
         values = tokens[1:]
-        if key == "trans":
-            if len(values) != 3:
-                raise ParseError("trans line needs '<src> <symbol> <dst>'", ln)
-            trans.append((values, ln))
-        elif key in _HEADER_KEYS:
+        if key in _HEADER_KEYS:
             if key in fields:
                 raise ParseError(f"duplicate '{key}:' line", ln)
             fields[key] = (values, ln)
@@ -415,14 +417,13 @@ def parse_automaton(text: str) -> Nfa:
 
     triples: set[Transition] = set()
     rows: dict[str, dict[str, str]] = {q: {} for q in states} if kind == "dfa" else {}
-    for (src, sym, dst), ln in trans:
-        if src not in states:
-            raise ParseError(f"undeclared state {src!r}", ln)
-        if dst not in states:
-            raise ParseError(f"undeclared state {dst!r}", ln)
-        if sym not in alphabet:
-            raise ParseError(f"undeclared symbol {sym!r}", ln)
-        src, sym, dst = declared[src], symbols[sym], declared[dst]
+    state, symbol = declared.get, symbols.get
+    for (_, s, y, d), ln in trans:
+        src, sym, dst = state(s), symbol(y), state(d)
+        if src is None or sym is None or dst is None:
+            # the first undeclared name, in the order src, dst, symbol
+            missing = [f"state {q!r}" for q in (s, d) if q not in states] + [f"symbol {y!r}"]
+            raise ParseError(f"undeclared {missing[0]}", ln)
         if kind == "nfa":
             triples.add((src, sym, dst))
         elif rows[src].setdefault(sym, dst) != dst:
@@ -532,60 +533,79 @@ def subset_construction(a: Nfa) -> Dfa:
     DFA's own sink s stands for the empty subset, named ``{s}``. Raises
     AutomatonError when two reachable subsets would get one name.
     """
-    letters = sorted(a.alphabet)
+    index, width = a._out, len(a.alphabet)
     dead = "{}" if a._sink is None else "{" + a._sink + "}"
 
-    def name(subset: frozenset[str]) -> str:
+    # a subset of one state is keyed by that state and reads its row as it
+    # is; any other is keyed by itself and merges its members' rows once. A
+    # DFA's sink moves are not in the rows, so they reach the empty subset.
+    def name(subset: str | frozenset[str]) -> str:
+        if subset.__class__ is str:
+            return "{" + subset + "}"
         return "{" + ",".join(sorted(subset)) + "}" if subset else dead
 
-    start = frozenset(a.initial) - {a._sink}
-    order: list[frozenset[str]] = [start]
+    start = a.initial - {a._sink}
+    start = next(iter(start)) if len(start) == 1 else start
+    order = [start]
     names = {start: name(start)}
     rows: dict[str, dict[str, str]] = {}
     for subset in order:
+        if subset.__class__ is str:
+            moves = index[subset]
+        else:
+            moves = {}
+            for q in subset:
+                for sym, ts in index[q].items():
+                    if sym in moves:
+                        moves[sym].update(ts)
+                    else:
+                        moves[sym] = set(ts)
         row = rows[names[subset]] = {}
-        for sym in letters:
-            # the rows as they are, so a DFA's sink moves reach the empty subset
-            target = Nfa.step_set(a, subset, sym)
-            if not target:
-                continue
+        for sym in sorted(moves):
+            ts = moves[sym]
+            if len(ts) == 1:
+                (target,) = ts
+            else:
+                target = frozenset(ts)
             dst = names.get(target)
             if dst is None:
                 dst = names[target] = name(target)
                 order.append(target)
             row[sym] = dst
     sink = None
-    if any(len(row) < len(letters) for row in rows.values()):
+    if any(len(row) < width for row in rows.values()):
         sink = names.setdefault(frozenset(), dead)
         rows.setdefault(sink, {})
     _distinct_names(names, "subsets")
-    final = {names[s] for s in order if s & a.final}
+    final = [names[s] for s in order if (s in a.final if s.__class__ is str else s & a.final)]
     return Dfa._from_rows(rows, a.alphabet, {names[start]}, final, sink)
 
 
 def _useful(a: Nfa, sources: Iterable[str]) -> tuple[dict[str, list[str]], set[str]]:
-    """The states reachable from ``sources``, each with its predecessors (one
-    per move, read off the rows, so no move that leaves an unreachable state
-    is looked at), and the set of those that reach a final state."""
+    """The states reachable from ``sources``, each with its incoming moves
+    read off the rows of reached states, letter and source side by side in
+    one flat list (few containers for the garbage collector to scan), and
+    the set of those that reach a final state."""
     index = a._out
-    pred: dict[str, list[str]] = {q: [] for q in sources}
-    queue = list(pred)
+    into: dict[str, list[str]] = {q: [] for q in sources}
+    queue = list(into)
     for q in queue:
-        for dsts in index[q].values():
+        for sym, dsts in index[q].items():
             for t in dsts:
-                if t in pred:
-                    pred[t].append(q)
-                else:
-                    pred[t] = [q]
+                moves = into.get(t)
+                if moves is None:
+                    into[t] = [sym, q]
                     queue.append(t)
-    alive = {q for q in a.final if q in pred}
+                else:
+                    moves += sym, q
+    alive = {q for q in a.final if q in into}
     queue = list(alive)
     for q in queue:
-        for p in pred[q]:
+        for p in into[q][1::2]:
             if p not in alive:
                 alive.add(p)
                 queue.append(p)
-    return pred, alive
+    return into, alive
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -614,22 +634,16 @@ def minimize(d: Dfa) -> Dfa:
     """
     index = d._out
     start = d.start
-    reached, alive = _useful(d, (start,))
-    dead = reached.keys() - alive
+    # every move into a live state comes from a live one, so the moves into
+    # the live states are the moves between them
+    into, alive = _useful(d, (start,))
+    dead = into.keys() - alive
     width = len(d.alphabet)
-    if d._sink is not None and any(len(index[q]) < width for q in reached):
+    if d._sink is not None and any(len(index[q]) < width for q in into):
         dead.add(d._sink)
 
     blocks = [block for block in (alive & d.final, alive - d.final) if block]
     block_of = {q: b for b, block in enumerate(blocks) for q in block}
-    # the moves between live states, by target: letter and source side by
-    # side in one flat list, so the garbage collector has few containers
-    # to scan
-    into: dict[str, list[str]] = {q: [] for q in alive}
-    for p in alive:
-        for sym, (t,) in index[p].items():
-            if t in alive:
-                into[t] += sym, p
     waiting = list(range(len(blocks)))
     while waiting:
         sources: dict[str, list[str]] = {}

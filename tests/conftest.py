@@ -12,7 +12,17 @@ import random
 import textwrap
 from collections import deque
 
-from ptsep.automata import Dfa, Nfa, Word, parse_automaton
+from ptsep.automata import (
+    _HEADER_KEYS,
+    AutomatonError,
+    Dfa,
+    Nfa,
+    ParseError,
+    Transition,
+    Word,
+    _index,
+    parse_automaton,
+)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -133,6 +143,87 @@ def reference_minimize(d: Dfa) -> Dfa:
     ]
     final = {rename[q] for q in seen if q in d.final}
     return Dfa.build(representative.values(), d.alphabet, triples, {rename[start]}, final)
+
+
+def reference_parse_automaton(text: str) -> Nfa:
+    """A plain line parser, the referee of ``parse_automaton``: it strips
+    and slices every line, and checks each name of a move against the
+    declared sets before it maps the name. Both must return equal automata,
+    row order included, or raise the same ``ParseError`` text."""
+    fields: dict[str, tuple[list[str], int]] = {}
+    trans: list[tuple[list[str], int]] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        key = tokens[0]
+        if not key.endswith(":"):
+            raise ParseError(f"expected '<key>:' at start of line, got {key!r}", ln)
+        key = key[:-1]
+        values = tokens[1:]
+        if key == "trans":
+            if len(values) != 3:
+                raise ParseError("trans line needs '<src> <symbol> <dst>'", ln)
+            trans.append((values, ln))
+        elif key in _HEADER_KEYS:
+            if key in fields:
+                raise ParseError(f"duplicate '{key}:' line", ln)
+            fields[key] = (values, ln)
+        else:
+            raise ParseError(f"unknown key {key!r}", ln)
+
+    for req in _HEADER_KEYS:
+        if req not in fields:
+            raise ParseError(f"missing {req}")
+
+    kind_vals, kind_ln = fields["kind"]
+    if len(kind_vals) != 1 or kind_vals[0] not in ("nfa", "dfa"):
+        raise ParseError("kind must be 'nfa' or 'dfa'", kind_ln)
+    kind = kind_vals[0]
+
+    def token_set(key: str) -> frozenset[str]:
+        values, ln = fields[key]
+        if len(values) != len(set(values)):
+            raise ParseError(f"duplicate token in '{key}:' line", ln)
+        return frozenset(values)
+
+    states = token_set("states")
+    alphabet = token_set("alphabet")
+    for key in ("initial", "final"):
+        values, ln = fields[key]
+        for tok in values:
+            if tok not in states:
+                raise ParseError(f"undeclared state {tok!r} in '{key}:' line", ln)
+    # every later occurrence of a name is mapped to its declared string, so
+    # dict lookups keyed by names hit on identity
+    declared = {q: q for q in states}
+    symbols = {sym: sym for sym in alphabet}
+    initial = frozenset(map(declared.__getitem__, token_set("initial")))
+    final = frozenset(map(declared.__getitem__, token_set("final")))
+
+    triples: set[Transition] = set()
+    rows: dict[str, dict[str, str]] = {q: {} for q in states} if kind == "dfa" else {}
+    for (src, sym, dst), ln in trans:
+        if src not in states:
+            raise ParseError(f"undeclared state {src!r}", ln)
+        if dst not in states:
+            raise ParseError(f"undeclared state {dst!r}", ln)
+        if sym not in alphabet:
+            raise ParseError(f"undeclared symbol {sym!r}", ln)
+        src, sym, dst = declared[src], symbols[sym], declared[dst]
+        if kind == "nfa":
+            triples.add((src, sym, dst))
+        elif rows[src].setdefault(sym, dst) != dst:
+            raise ParseError(f"duplicate transition for ({src}, {sym}) in a DFA", ln)
+
+    # every name and move is checked above, so the automaton is handed over
+    if kind == "nfa":
+        return Nfa._from_index(states, alphabet, initial, final, _index(states, triples))
+    try:
+        return Dfa._from_rows(rows, alphabet, initial, final)
+    except AutomatonError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _adjacency(a: Nfa) -> dict[tuple[str, str], set[str]]:

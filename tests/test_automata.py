@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,9 +15,12 @@ from conftest import (
     random_dfa,
     random_nfa,
     reference_minimize,
+    reference_parse_automaton,
     words_up_to,
 )
+from ptsep import automata
 from ptsep.automata import (
+    _HEADER_KEYS,
     AlphabetMismatchError,
     AutomatonError,
     Dfa,
@@ -195,6 +199,144 @@ def test_parse_dfa_tolerates_repeated_identical_transition_line():
     assert d.step("e", "a") == "e"
 
 
+# names that look like keys, subset names or pairs are plain tokens too
+ODD_NAMES = ("trans:", "kind:", "{x}", "x,y", "(p,q)", "é")
+
+PARSE_ERRORS = (
+    "missing ",
+    "duplicate 'states:' line",
+    "unknown key",
+    "expected '<key>:'",
+    "kind must be",
+    "duplicate token",
+    "in 'initial:' line",
+    "in 'final:' line",
+    "trans line needs",
+    "undeclared state",
+    "undeclared symbol",
+    "duplicate transition",
+    "incomplete DFA",
+    "exactly one initial state",
+)
+
+
+def _renamed(rng: random.Random, a: Nfa) -> Nfa:
+    """``a`` with some of its names replaced by odd but valid tokens."""
+    odd = iter(rng.sample(ODD_NAMES, len(ODD_NAMES)))
+    names = {x: next(odd, x) if rng.random() < 0.3 else x for x in sorted(a.states | a.alphabet)}
+    return a.__class__.build(
+        map(names.get, a.states),
+        map(names.get, a.alphabet),
+        [tuple(map(names.get, t)) for t in a.transitions],
+        map(names.get, a.initial),
+        map(names.get, a.final),
+    )
+
+
+def _tokens(line: str) -> list[str]:
+    return line.split("#", 1)[0].split()
+
+
+def _layout(rng: random.Random, a: Nfa) -> list[str]:
+    """The text of ``a`` as lines, shuffled so that the headers sit among
+    the trans lines, one trans line twice, with comments, blank lines and
+    stray blanks."""
+    lines = serialize_automaton(a).splitlines()
+    lines += [line for line in lines if line.startswith("trans:")][:1]
+    rng.shuffle(lines)
+    out = []
+    for line in lines:
+        if rng.random() < 0.2:
+            out.append(rng.choice(("# note", "#trans: x y z", "   # kind: dfa", "", " \t")))
+        line = rng.choice((" ", "  ", "\t")).join(line.split())
+        out.append(rng.choice(("", " ", "\t")) + line + rng.choice(("", " ", " # tail", "#tail")))
+    return out
+
+
+def _mutations(rng: random.Random, a: Nfa, lines: list[str]) -> list[list[str]]:
+    """The laid-out text with one seeded fault per class of parse error:
+    missing or repeated header, unknown key, no colon, bad kind, repeated
+    token, undeclared initial or final state, trans arity, undeclared src,
+    dst or symbol, conflicting move, missing move, wrong initial count.
+    Some of them leave an NFA valid."""
+    first = [(_tokens(line) or [""])[0] for line in lines]
+    header = {key[:-1]: i for i, key in enumerate(first) if key not in ("", "trans:")}
+    trans = [i for i, key in enumerate(first) if key == "trans:"]
+
+    def replaced(i: int, line: str) -> list[str]:
+        return lines[:i] + [line] + lines[i + 1 :]
+
+    def inserted(line: str) -> list[str]:
+        spot = rng.randrange(len(lines) + 1)
+        return lines[:spot] + [line] + lines[spot:]
+
+    key, states = rng.choice(_HEADER_KEYS), sorted(a.states)
+    out = [
+        lines[: header[key]] + lines[header[key] + 1 :],
+        inserted(lines[header[rng.choice(("states", key))]]),
+        inserted(rng.choice(("bogus: 1", "transitions: a b c", ":"))),
+        inserted(rng.choice(("states q0", "trans q0 a q0", "kind:dfa"))),
+        replaced(header["kind"], rng.choice(("kind: xfa", "kind: nfa dfa", "kind:", "kind: DFA"))),
+        replaced(header["states"], "states: " + " ".join(states + states[:1])),
+        *(
+            replaced(header[k], " ".join(_tokens(lines[header[k]]) + ["ghost"]))
+            for k in ("initial", "final")
+        ),
+        inserted(rng.choice(("trans: q0 a", "trans: q0 a q0 q0", "trans:", "trans: a b#c d"))),
+        replaced(header["initial"], rng.choice(("initial:", "initial: " + " ".join(states[:2])))),
+    ]
+    if trans:
+        i = rng.choice(trans)
+        move = _tokens(lines[i])[1:]
+        ghosts = [rng.choice((f"ghost{k}", tok)) for k, tok in enumerate(move)]
+        k = rng.randrange(3)
+        ghosts[k] = f"ghost{k}"
+        out.append(replaced(i, "trans: " + " ".join(ghosts)))
+        out.append(inserted(" ".join(["trans:", *move[:2], rng.choice(states)])))
+        cut = {j for j in trans if _tokens(lines[j])[1:3] == move[:2]}
+        out.append([line for j, line in enumerate(lines) if j not in cut])
+    return out
+
+
+def _parsed(parse, text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def _rows(a: Nfa) -> list:
+    return [(q, list(row.items())) for q, row in a._out.items()]
+
+
+def test_parser_agrees_with_the_reference_parser():
+    """Seeded texts of both kinds, laid out freely, and one fault of each
+    class in every text: the parser returns what the reference parser
+    returns, row order included, or raises the same message."""
+    rng = random.Random(1701)
+    messages = set()
+    for i in range(300):
+        if i % 2:
+            a = _renamed(rng, random_nfa(rng, max_states=5))
+        else:
+            a = _renamed(rng, random_dfa(rng, DFA_KINDS[i % 3], max_states=5))
+        lines = _layout(rng, a)
+        for j, variant in enumerate([lines, *_mutations(rng, a, lines)]):
+            text = ("\r\n" if rng.random() < 0.3 else "\n").join(variant) + rng.choice(("", "\n"))
+            got, ref = _parsed(parse_automaton, text), _parsed(reference_parse_automaton, text)
+            if isinstance(ref, tuple):
+                assert got == ref, text
+                messages.add(ref[0])
+                continue
+            assert got.__class__ is ref.__class__ and got == ref and got._sink == ref._sink
+            assert serialize_automaton(got) == serialize_automaton(ref)
+            assert _rows(got) == _rows(ref)
+            if j == 0:
+                assert got == a
+    for error in PARSE_ERRORS:
+        assert any(error in message for message in messages), error
+
+
 def test_serialize_is_canonical_and_round_trips():
     a = aut(A_THEN_ANY)
     text = serialize_automaton(a)
@@ -322,6 +464,58 @@ def test_subset_construction_refuses_ambiguous_subset_names():
     assert not membership(a, ())
     with pytest.raises(AutomatonError, match="named {x,y}"):
         subset_construction(a)
+
+
+def test_minimal_dfa_is_one_subset_construction_and_one_minimize(monkeypatch):
+    # the benchmark counts the minimal DFAs' states through a wrapper on
+    # automata.minimize, and the subset construction reads rows, not step_set
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in ("subset_construction", "minimize"):
+        monkeypatch.setattr(automata, name, counted(name, getattr(automata, name)))
+    for cls in (Nfa, Dfa):
+        monkeypatch.setattr(cls, "step_set", counted("step_set", cls.step_set))
+    rng = random.Random(23)
+    for i in range(150):
+        a = random_nfa(rng) if i % 2 else random_dfa(rng, DFA_KINDS[i % 3])
+        a = parse_automaton(serialize_automaton(a))
+        calls.clear()
+        assert a._minimal is a._minimal
+        assert calls == {"subset_construction": 1, "minimize": 1}
+
+
+def test_subset_construction_of_a_parsed_dfa_names_each_state_by_its_singleton():
+    rng = random.Random(29)
+    checked = 0
+    for i in range(300):
+        d = parse_automaton(serialize_automaton(random_dfa(rng, DFA_KINDS[i % 3])))
+        s = subset_construction(d)
+        reached = [d.start]
+        for q in reached:
+            reached += sorted({d.step(q, sym) for sym in d.alphabet} - set(reached))
+        reached = set(reached)
+        assert s.states == {"{" + q + "}" for q in reached}
+        assert s.start == "{" + d.start + "}"
+        for q in reached:
+            for sym in d.alphabet:
+                assert s.step("{" + q + "}", sym) == "{" + d.step(q, sym) + "}"
+        # the sink is the least reached rejecting state that keeps every
+        # letter: the name of d's own sink when d reaches it
+        absorbing = [q for q in reached - d.final if all(d.step(q, x) == q for x in d.alphabet)]
+        assert s._sink == ("{" + min(absorbing) + "}" if absorbing else None)
+        # rows in sorted letter order, unless the sink rule rebuilt them
+        if s._sink is None or s._sink == "{" + str(d._sink) + "}":
+            checked += 1
+            for q in reached - {d._sink}:
+                assert list(s._out["{" + q + "}"]) == sorted(d._out[q])
+    assert checked > 250
 
 
 def test_parser_reuses_declared_names():

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from conftest import aut, brute_language, chain_dfa, random_nfa
+from conftest import aut, brute_language, chain_dfa, random_nfa, reference_parse_automaton
 from ptsep import automata, piecewise
-from ptsep.automata import Dfa, minimize, self_loop_letters, shortest_run, subset_construction
+from ptsep.automata import (
+    Dfa,
+    minimize,
+    parse_automaton,
+    self_loop_letters,
+    serialize_automaton,
+    shortest_run,
+    subset_construction,
+)
 from ptsep.oracles import pt_bounded
 from ptsep.piecewise import (
     NontrivialCycle,
@@ -382,6 +390,26 @@ def test_chain_of_200_states_yields_the_constructed_triple():
     d, chain, z = chain_dfa(200, twin=True)
     assert condition2_triple(d) == Triple("c000", "c199", "r", chain, chain[:-1] + (z,), d.alphabet)
 
+
+
+def test_parsed_200_state_twin_chain_with_shuffled_moves_yields_the_triple():
+    d, chain, z = chain_dfa(200, twin=True)
+    lines = serialize_automaton(d).splitlines()
+    header, moves = lines[:5], lines[5:]
+    random.Random(200).shuffle(moves)
+    text = "\n".join(header + moves) + "\n"
+    parsed = parse_automaton(text)
+    assert parsed == d and isinstance(parsed, Dfa) and parsed._sink == d._sink == "r"
+    reference = reference_parse_automaton(text)
+    assert [(q, list(row.items())) for q, row in parsed._out.items()] == [
+        (q, list(row.items())) for q, row in reference._out.items()
+    ]
+    # the minimal DFA keeps the subset construction's names
+    v = is_pt_nfa(parsed)
+    assert v.witness == Triple(
+        "{c000}", "{c199}", "{r}", chain, chain[:-1] + (z,), frozenset(chain) | {z}
+    )
+    assert verify_pt_witness(v)
 
 def test_chain_of_120_states_is_decided_without_the_quartic_scan():
     plain, _, _ = chain_dfa(120, twin=False)
