@@ -98,7 +98,7 @@ def _sink_rule(
             q
             for q, row in out.items()
             if q not in final
-            and (q == sink or (len(row) == width and all(t == (q,) for t in row.values())))
+            and (q == sink or (len(row) == width and set(row.values()) <= {(q,)}))
         ),
         default=None,
     )
@@ -220,13 +220,16 @@ class Nfa:
     @cached_property
     def _minimal(self) -> "Dfa":
         """The minimal complete DFA of the language, built on first use; the
-        PT test, the oracles and :func:`equivalent` all read this one."""
+        PT test, the tower search and :func:`equivalent` all read this one,
+        and so does a profile search whose budget could bind (a smaller one
+        searches :attr:`_trimmed`)."""
         return minimize(subset_construction(self))
 
     @cached_property
     def _trimmed(self) -> "Nfa":
-        """The trimmed automaton, built on first use; the block product reads
-        this one, so both operand orders of a pair trim each side once."""
+        """The trimmed automaton, built on first use; the block product and
+        the profile searches that fit their budget read this one, so both
+        operand orders of a pair trim each side once."""
         return trim(self)
 
     def step_set(self, states: Iterable[str], symbol: str) -> frozenset[str]:

@@ -227,16 +227,18 @@ def _live(d: Dfa) -> frozenset[str]:
     return d.states - {d._sink}
 
 
-def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
-    """Yield each (state, k-profile) configuration reachable from the start
-    of ``d`` in BFS order, entering only ``allowed`` states and trying
-    letters in sorted order. Profiles stabilize, so the space is finite; a
-    new configuration beyond ``max_nodes`` raises Inconclusive. A
-    configuration's successors are explored only after it is yielded, so a
-    caller that stops early saves their work.
+def _profile_configs(a: Nfa, allowed, max_nodes: int, layout: _Bitmasks | _PieceSets):
+    """Yield each (state, k-profile) configuration reachable from the
+    initial states of ``a``, in BFS order from the sorted initial states,
+    entering only ``allowed`` states and trying letters, and each letter's
+    targets, in sorted order; a DFA's sink moves take part. Profiles
+    stabilize, so the space is finite; a new configuration beyond
+    ``max_nodes`` raises Inconclusive. A configuration's successors are
+    explored only after it is yielded, so a caller that stops early saves
+    their work.
 
     A profile is the bitmask of its piece set in ``layout``, whose letters
-    are sorted and include the alphabet of ``d``. With s letters, piece
+    are sorted and include the alphabet of ``a``. With s letters, piece
     p_0…p_{l-1} sits at bit off(l) + sum_j code(p_j)·s^j, where off(l) =
     1 + s + … + s^(l-1) and code is the index among the letters; the empty
     piece is bit 0. Appending the letter with code c moves every piece of
@@ -245,14 +247,14 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
     the search visits the configurations a search over piece sets would.
     Where the masks would pass _MASK_MAX_BITS bits, the profile is the
     piece set itself (:func:`_layout`), and the search is the same."""
-    grow, letters = layout.grow, sorted(d.alphabet)
+    grow, letters = layout.grow, sorted(a.alphabet)
     edges = {
-        q: [(t, grow[sym]) for sym in letters if (t := out[sym][0]) in allowed]
-        for q, out in d._full_out().items()
+        q: [(t, grow[sym]) for sym in letters for t in out.get(sym, ()) if t in allowed]
+        for q, out in a._full_out().items()
     }
-    root = (d.start, layout.root)
-    seen = {root}
-    queue = deque([root])
+    roots = [(q, layout.root) for q in sorted(a.initial)]
+    seen = set(roots)
+    queue = deque(roots)
     while queue:
         node = queue.popleft()
         yield node
@@ -266,20 +268,56 @@ def _profile_configs(d: Dfa, allowed, max_nodes: int, layout: _Bitmasks | _Piece
                 queue.append(child)
 
 
+def _profiles_fit(n: int, s: int, k: int, max_nodes: int) -> bool:
+    """Whether n + P < ``max_nodes``.bit_length(), for P = s + s² + … + s^k
+    the number of nonempty pieces of length at most k over s letters; P is
+    summed only while the test can still hold, so no large integer is built.
+
+    With n trimmed states, the minimal DFA has at most 2^n − 1 live states,
+    since each nonempty residual is the union of the residuals of a
+    nonempty set of trimmed states, and there are at most 2^P k-profiles.
+    Its search meets at most (2^n − 1)·2^P configurations plus one root that
+    may be dead, at most 2^(n+P) ≤ ``max_nodes``: it cannot run out. The
+    search of the n trimmed states meets at most n·2^P, and cannot either."""
+    room = max_nodes.bit_length() - n if max_nodes > 0 else 0
+    width = 1
+    for _ in range(k if s else 0):
+        width *= s
+        room -= width
+        if room <= 0:
+            return False
+    return room > 0
+
+
+def _accepted_configs(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets):
+    """The final states of the automaton that a profile search of L(a)
+    visits, and the configurations that search yields. ``max_nodes`` counts
+    the configurations of the minimal DFA's live states. Where they provably
+    fit it (:func:`_profiles_fit`), no search runs out and the outcome
+    depends only on the language, so the cached trim is searched and nothing
+    is determinized; otherwise the minimal DFA's live states are."""
+    aut = a._trimmed
+    if _profiles_fit(len(aut.states), len(a.alphabet), layout.k, max_nodes):
+        allowed = aut.states
+    else:
+        aut = a._minimal
+        allowed = _live(aut)
+    return aut.final, _profile_configs(aut, allowed, max_nodes, layout)
+
+
 def _accepted_masks(a: Nfa, max_nodes: int, layout: _Bitmasks | _PieceSets) -> set:
-    """The profiles, in ``layout``, of the words ``a`` accepts, by BFS over the
-    configurations of its minimal DFA restricted to states from which
-    acceptance is still possible."""
-    d = a._minimal
-    configs = _profile_configs(d, _live(d), max_nodes, layout)
-    return {prof for state, prof in configs if state in d.final}
+    """The profiles, in ``layout``, of the words ``a`` accepts."""
+    final, configs = _accepted_configs(a, max_nodes, layout)
+    return {prof for state, prof in configs if state in final}
 
 
 def reachable_profiles(a: Nfa, k: int, max_nodes: int = DEFAULT_MAX_NODES) -> frozenset[KProfile]:
     """The set of k-profiles of accepted words, by BFS over (state, profile)
-    configurations of the minimal DFA, restricted to states from which
-    acceptance is still possible; exceeding ``max_nodes`` raises
-    Inconclusive."""
+    configurations. ``max_nodes`` bounds those of the minimal DFA,
+    restricted to states from which acceptance is still possible, and
+    exceeding it raises Inconclusive. Where that count provably fits the
+    budget, the trimmed automaton is searched instead, with the same result
+    and no determinization."""
     layout = _layout(tuple(sorted(a.alphabet)), k)
     masks = _accepted_masks(a, max_nodes, layout)
     return frozenset(map(layout.decode, masks))
@@ -305,12 +343,13 @@ def separable_by_kpt(
     over the layout of the union alphabet, so their profiles compare. The
     search of b stops at the first accepted profile that a also has: past
     it the answer is None, so a budget it would overrun later is no longer
-    reached."""
+    reached. Each side is searched as in :func:`reachable_profiles`: on its
+    trimmed automaton where the minimal DFA's configurations provably fit
+    ``max_nodes``, on the minimal DFA otherwise."""
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), k)
     masks_a = _accepted_masks(a, max_nodes, layout)
-    d = b._minimal
-    configs = _profile_configs(d, _live(d), max_nodes, layout)
-    if any(state in d.final and prof in masks_a for state, prof in configs):
+    final_b, configs = _accepted_configs(b, max_nodes, layout)
+    if any(state in final_b and prof in masks_a for state, prof in configs):
         return None
     return KptSeparator(k=k, accepted_profiles=frozenset(map(layout.decode, masks_a)), side="A")
 
@@ -322,8 +361,10 @@ def verify_separator(
     on the covered side and disjointness on the other. The sets are compared
     as masks over the layout of the union alphabet, into which the
     separator's profiles are encoded once; a profile that no word over that
-    alphabet has cannot match, so it is dropped. A separator whose side is
-    neither "A" nor "B", or whose k is negative, does not verify."""
+    alphabet has cannot match, so it is dropped. Each side is searched as in
+    :func:`reachable_profiles`, so a small operand is not determinized. A
+    separator whose side is neither "A" nor "B", or whose k is negative,
+    does not verify."""
     if s.side not in ("A", "B") or s.k < 0:
         return False
     layout = _layout(tuple(sorted(a.alphabet | b.alphabet)), s.k)

@@ -12,6 +12,7 @@ from conftest import aut, brute_language, brute_profile, is_subsequence, random_
 from ptsep import automata, oracles
 from ptsep.automata import Dfa, Nfa, language_empty, lift_pair, product_intersection
 from ptsep.oracles import (
+    DEFAULT_MAX_NODES,
     DeepeningVerdict,
     Inconclusive,
     KProfile,
@@ -420,6 +421,61 @@ def test_reachable_profiles_budget():
         reachable_profiles(aut(AA_PLUS), 1, max_nodes=1)
 
 
+def test_a_search_that_fits_its_budget_reads_the_trim():
+    # over the seed-777 and seed-5 pairs at k = 0..3: the trimmed and the
+    # minimal-DFA searches accept the same profiles, so side B answers the
+    # same on both. Where the bound holds at N, here at its tightest N =
+    # 2^(n+P), the minimal-DFA search at N cannot run out, nor the trimmed
+    # one, and neither visits more than N configurations; one below, the
+    # bound fails
+    def masks(aut, live, layout):
+        configs, end = kernel_configs(aut, live, 3000, layout)
+        return None if end else {prof for state, prof in configs if state in aut.final}
+
+    pairs = []
+    for seed in (777, 5):
+        rng = random.Random(seed)
+        pairs += [(random_nfa(rng, max_states=5), random_nfa(rng, max_states=5)) for _ in range(300)]
+    compared = tight = 0
+    for a, b in pairs:
+        letters = tuple(sorted(a.alphabet | b.alphabet))
+        for k in range(4):
+            layout = _layout(letters, k)
+            got = {}
+            for x in (a, b):
+                trimmed, minimal = masks(x._trimmed, False, layout), masks(x._minimal, True, layout)
+                if None not in (trimmed, minimal):
+                    assert trimmed == minimal
+                got[x] = minimal
+                n, s = len(x._trimmed.states), len(x.alphabet)
+                bound = n + sum(s**j for j in range(1, k + 1))
+                if bound > 16:
+                    continue
+                assert oracles._profiles_fit(n, s, k, 1 << bound)
+                assert not oracles._profiles_fit(n, s, k, (1 << bound) - 1)
+                for d, live in ((x._minimal, True), (x._trimmed, False)):
+                    configs, end = kernel_configs(d, live, 1 << bound, layout)
+                    assert end is None and len(configs) <= 1 << bound
+                tight += 1
+            if got[a] is not None and got[b] is not None:
+                compared += 1
+                want = None
+                if got[a].isdisjoint(got[b]):
+                    want = KptSeparator(k, frozenset(map(layout.decode, got[a])), "A")
+                assert separable_by_kpt(a, b, k, 3000) == want
+    assert compared > 2100 and tight > 4000
+
+
+def test_the_budget_bound_builds_no_large_integer():
+    # P = 30 + 30^2 + ... + 30^100 is summed only while it can fit; a k-step
+    # loop with no letter, or with one, ends at once too
+    assert not oracles._profiles_fit(5, 30, 100, DEFAULT_MAX_NODES)
+    assert not oracles._profiles_fit(0, 30, 10**9, 2**64)
+    assert not oracles._profiles_fit(0, 1, 10**12, 2**64)
+    assert oracles._profiles_fit(3, 0, 10**12, 16)
+    assert not oracles._profiles_fit(0, 0, 0, 0) and not oracles._profiles_fit(0, 0, 0, -5)
+
+
 # ------------------------------------------------------------------ separators
 
 
@@ -679,6 +735,37 @@ def test_each_operand_is_determinized_once(monkeypatch):
     assert verify_separator(v.separator, a, b)
     assert dual_deepening(a, b, 6, 5) == DeepeningVerdict(separable=True, level=2, method="separator")
     assert len(calls) == 2
+
+
+def test_operands_within_the_bound_are_not_determinized(monkeypatch):
+    # Σ*aΣ² over {a, b}, a 4-state NFA whose minimal DFA has 8 states,
+    # against b*: the decision, its k = 1 separator, the separator's check
+    # and a deepening that concludes at level 1 fit the default budget and
+    # read the trimmed operands. At 40 and 1000 configurations the bound
+    # fails, and the first operand is determinized once for both searches
+    calls = []
+    real = automata.subset_construction
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ptsep") and hasattr(module, "subset_construction"):
+            monkeypatch.setattr(module, "subset_construction", counting)
+    moves = [("p", "a", "p"), ("p", "b", "p"), ("p", "a", "q1"), ("q1", "a", "q2")]
+    moves += [("q1", "b", "q2"), ("q2", "a", "q3"), ("q2", "b", "q3")]
+    a = Nfa.build(["p", "q1", "q2", "q3"], "ab", moves, ["p"], ["q3"])
+    b = aut("kind: dfa\nstates: y\nalphabet: b\ninitial: y\nfinal: y\ntrans: y b y\n")
+    v = decide_separability(a, b, want_separator=True)
+    assert v.separable and v.separator.k == 1
+    assert verify_separator(v.separator, a, b)
+    assert dual_deepening(a, b, 6, 5) == DeepeningVerdict(separable=True, level=1, method="separator")
+    assert calls == []
+    for k, max_nodes in ((1, 40), (2, 1000)):
+        assert not oracles._profiles_fit(4, 2, k, max_nodes)
+        assert reachable_profiles(a, k, max_nodes) == reachable_profiles(a, k)
+    assert calls == [a]
 
 
 def test_dual_deepening_shortcuts_on_common_word():
